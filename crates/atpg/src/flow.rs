@@ -170,6 +170,18 @@ impl AtpgFlow {
     /// Generates a test set targeting an explicit fault list.
     #[must_use]
     pub fn run_for_faults(&self, netlist: &Netlist, faults: &[Fault]) -> TestSet {
+        let mut podem = Podem::new(netlist, self.config.backtrack_limit);
+        self.run_with(netlist, faults, |fault| podem.generate(netlist, fault))
+    }
+
+    /// The flow over any deterministic-phase generator: production passes
+    /// [`Podem::generate`], the identity tests the full-sweep oracle.
+    fn run_with(
+        &self,
+        netlist: &Netlist,
+        faults: &[Fault],
+        mut generate: impl FnMut(Fault) -> PodemOutcome,
+    ) -> TestSet {
         let sim = FaultSim::new(netlist);
         let width = netlist.combinational_inputs().len();
         let mut detected = vec![false; faults.len()];
@@ -285,16 +297,17 @@ impl AtpgFlow {
             next_block += group_len;
         }
 
-        // Phase 2: PODEM on the remaining faults.
-        let podem = Podem::new(netlist, self.config.backtrack_limit);
+        // Phase 2: PODEM on the remaining faults. `detected_count` stays the
+        // running number of set flags, so the cutoff is the random phase's
+        // `target_met` expression without a recount per target.
         let mut deterministic_patterns = 0usize;
         let mut untestable = 0usize;
         let mut aborted = 0usize;
         for (index, &fault) in faults.iter().enumerate() {
-            if detected[index] || self.coverage(&detected) >= self.config.target_coverage {
+            if detected[index] || target_met(detected_count) {
                 continue;
             }
-            match podem.generate(netlist, fault) {
+            match generate(fault) {
                 PodemOutcome::Test(test) => {
                     let pattern: Vec<bool> = test
                         .iter()
@@ -312,6 +325,7 @@ impl AtpgFlow {
                         std::slice::from_ref(&pattern),
                         &mut detected,
                     );
+                    detected_count += newly;
                     if newly > 0 {
                         patterns.push(pattern);
                         deterministic_patterns += 1;
@@ -322,7 +336,6 @@ impl AtpgFlow {
             }
         }
 
-        let detected_count = detected.iter().filter(|&&d| d).count();
         TestSet {
             patterns,
             fault_coverage: if faults.is_empty() {
@@ -340,32 +353,39 @@ impl AtpgFlow {
             random_sim_passes,
         }
     }
-
-    fn coverage(&self, detected: &[bool]) -> f64 {
-        if detected.is_empty() {
-            return 1.0;
-        }
-        detected.iter().filter(|&&d| d).count() as f64 / detected.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::podem::oracle::FullSweepPodem;
     use scanpower_netlist::bench;
     use scanpower_netlist::generator::CircuitFamily;
 
+    /// With a target no flow can stop short of, every fault is accounted
+    /// for (detected, proved untestable or aborted), and the reported
+    /// detected count is what fault simulation of the kept patterns finds.
     #[test]
     fn s27_reaches_high_coverage() {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let test_set = AtpgFlow::new(AtpgConfig::default()).run(&n);
+        let test_set = AtpgFlow::new(AtpgConfig {
+            target_coverage: 1.0,
+            ..AtpgConfig::default()
+        })
+        .run(&n);
         assert!(test_set.fault_coverage > 0.9, "{}", test_set.fault_coverage);
         assert!(!test_set.patterns.is_empty());
-        assert_eq!(
+        let faults = all_net_faults(&n);
+        assert_eq!(test_set.total_faults, faults.len());
+        assert!(
             test_set.detected_faults + test_set.untestable_faults + test_set.aborted_faults
                 >= test_set.total_faults,
-            test_set.detected_faults + test_set.untestable_faults + test_set.aborted_faults
-                >= test_set.total_faults
+            "{test_set:?}"
+        );
+        let flags = FaultSim::new(&n).detect(&n, &faults, &test_set.patterns);
+        assert_eq!(
+            test_set.detected_faults,
+            flags.iter().filter(|&&d| d).count()
         );
     }
 
@@ -555,6 +575,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The event-driven flow must produce exactly the test set of the
+    /// full-sweep PODEM oracle on every Table I family (scaled to about a
+    /// hundred gates), for both profiles and any thread count.
+    #[test]
+    fn test_sets_match_oracle_on_every_table1_family() {
+        // PODEM patterns, untestable and aborted verdicts over the sweep.
+        let mut podem_tally = [0usize; 3];
+        for family in CircuitFamily::table1() {
+            let circuit = family.scaled(100.0 / family.gates() as f64).generate(1);
+            let faults = all_net_faults(&circuit);
+            for base in [AtpgConfig::fast(), AtpgConfig::default()] {
+                let oracle_podem = FullSweepPodem::new(&circuit, base.backtrack_limit);
+                let oracle = AtpgFlow::new(AtpgConfig {
+                    threads: 1,
+                    ..base.clone()
+                })
+                .run_with(&circuit, &faults, |fault| {
+                    oracle_podem.generate(&circuit, fault)
+                });
+                for (total, count) in podem_tally.iter_mut().zip([
+                    oracle.deterministic_patterns,
+                    oracle.untestable_faults,
+                    oracle.aborted_faults,
+                ]) {
+                    *total += count;
+                }
+                for threads in [1, 3, 0] {
+                    let test_set = AtpgFlow::new(AtpgConfig {
+                        threads,
+                        ..base.clone()
+                    })
+                    .run(&circuit);
+                    assert_eq!(
+                        test_set,
+                        oracle,
+                        "{} (backtrack limit {}), threads {threads}",
+                        family.name(),
+                        base.backtrack_limit
+                    );
+                }
+            }
+        }
+        assert!(
+            podem_tally.iter().all(|&count| count > 0),
+            "PODEM {podem_tally:?}"
+        );
     }
 
     #[test]

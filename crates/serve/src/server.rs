@@ -77,7 +77,11 @@ impl Default for ServeConfig {
 /// One admitted job: its resolved inputs and its event stream.
 struct JobEntry {
     id: JobId,
-    netlists: Vec<Netlist>,
+    /// The resolved circuits until a worker takes them to run the job;
+    /// empty from then on, so a finished job holds no netlist.
+    netlists: Mutex<Vec<Netlist>>,
+    /// Circuit count of the job (for [`Response::JobStatus`]).
+    total: usize,
     options: ExperimentOptions,
     /// The cancellation parent a `CancelJob` request trips; every circuit
     /// attempt polls a child of it.
@@ -191,8 +195,14 @@ impl Server {
     /// Stops the background workers. Queued jobs stay queued; sessions
     /// keep answering polls and cancels until their connections close.
     pub fn shutdown(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.queue_signal.notify_all();
+        {
+            // Set and signal under the queue lock: a worker checks the flag
+            // and starts waiting under the same lock, so it either sees the
+            // flag or is already waiting when the notification comes.
+            let _queue = self.inner.queue.lock().expect("queue lock");
+            self.inner.shutdown.store(true, Ordering::Release);
+            self.inner.queue_signal.notify_all();
+        }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -279,7 +289,8 @@ impl ServerInner {
         }
         let entry = Arc::new(JobEntry {
             id,
-            netlists,
+            total: netlists.len(),
+            netlists: Mutex::new(netlists),
             options,
             cancel: CancelFlag::new(),
             state: Mutex::new(JobState::Queued),
@@ -320,7 +331,7 @@ impl ServerInner {
             job: id,
             state,
             completed: entry.completed.load(Ordering::Acquire),
-            total: entry.netlists.len(),
+            total: entry.total,
         }
     }
 
@@ -345,11 +356,14 @@ impl ServerInner {
         let entry = self.jobs.lock().expect("jobs lock").get(&id).cloned();
         let Some(entry) = entry else { return };
         *entry.state.lock().expect("state lock") = JobState::Running;
+        // Taken out of the entry: the netlists are dropped when the run
+        // ends instead of living as long as the job table entry.
+        let netlists = std::mem::take(&mut *entry.netlists.lock().expect("netlists lock"));
         let hits_before = self.cache.stats().hits;
         let streamed = &entry;
         let run = catch_unwind(AssertUnwindSafe(|| {
             run_netlists_streamed(
-                &entry.netlists,
+                &netlists,
                 &entry.options,
                 Some(&entry.cancel),
                 &|index, outcome| {
@@ -531,6 +545,63 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn finished_job_releases_its_netlists() {
+        let server = Server::new(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        });
+        let spec = JobSpec {
+            circuits: vec![family("s27"), family("s344")],
+            options: ExperimentOptions::fast(),
+        };
+        let Response::JobAccepted { job } = server.inner.handle(Request::SubmitJob(Box::new(spec)))
+        else {
+            panic!("submission refused");
+        };
+        let entry = |id| server.inner.jobs.lock().unwrap().get(&id).cloned().unwrap();
+        assert_eq!(entry(job).netlists.lock().unwrap().len(), 2);
+        assert!(server.run_pending_job());
+        assert!(entry(job).netlists.lock().unwrap().is_empty());
+        // Drain the two rows and the terminal event; the status snapshot
+        // still reports every circuit.
+        for _ in 0..3 {
+            assert!(!matches!(
+                server.inner.handle(Request::PollJob(job)),
+                Response::JobStatus { .. }
+            ));
+        }
+        assert_eq!(
+            server.inner.handle(Request::PollJob(job)),
+            Response::JobStatus {
+                job,
+                state: JobState::Done,
+                completed: 2,
+                total: 2,
+            }
+        );
+    }
+
+    /// `shutdown` must end idle workers every time: a worker between its
+    /// flag check and its wait must not miss the wake-up.
+    #[test]
+    fn shutdown_of_idle_workers_always_terminates() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..200 {
+                let mut server = Server::new(ServeConfig {
+                    workers: 2,
+                    ..ServeConfig::default()
+                });
+                server.shutdown();
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("shutdown hung on an idle worker");
     }
 
     #[test]

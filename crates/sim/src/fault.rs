@@ -10,14 +10,16 @@
 //!
 //! Simulation is bit-parallel through the shared
 //! [`SimKernel`]: 64 patterns are evaluated per
-//! topological pass using one [`PackedWord`] per net, for the fault-free
-//! circuit and for every fault's fanout-cone overlay alike.
+//! topological pass using one [`PackedWord`] per net for the fault-free
+//! circuit. Each fault is then forced onto a faulty overlay of those values
+//! and propagated event-driven ([`SimKernel::propagate_from`]) from its
+//! site, so only the gates its effect actually reaches are re-evaluated.
 
 use serde::{Deserialize, Serialize};
 
-use scanpower_netlist::{topo, NetId, Netlist};
+use scanpower_netlist::{NetId, Netlist};
 
-use crate::kernel::{self, pack_bool_patterns, LogicWord, PackedWord, SimKernel};
+use crate::kernel::{pack_bool_patterns, DirtyWorklist, LogicWord, PackedWord, SimKernel};
 
 /// A single stuck-at fault on a net.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -79,6 +81,7 @@ pub struct BlockDetections {
 pub struct FaultSim {
     kernel: SimKernel<PackedWord>,
     observation: Vec<NetId>,
+    is_observation: Vec<bool>,
 }
 
 impl FaultSim {
@@ -93,9 +96,14 @@ impl FaultSim {
         observation.extend(netlist.pseudo_outputs());
         observation.sort_unstable();
         observation.dedup();
+        let mut is_observation = vec![false; netlist.net_count()];
+        for net in &observation {
+            is_observation[net.index()] = true;
+        }
         FaultSim {
             kernel: SimKernel::new(netlist),
             observation,
+            is_observation,
         }
     }
 
@@ -147,7 +155,7 @@ impl FaultSim {
     }
 
     /// Fault-simulates one block of up to 64 patterns in a single fault-free
-    /// kernel pass (plus one fanout-cone overlay per still-active fault),
+    /// kernel pass (plus one event-driven overlay per still-active fault),
     /// updating `detected` in place. Already-detected faults are skipped
     /// (fault dropping); newly detected faults are credited to the first
     /// pattern of the block that detects them, which makes the result
@@ -211,6 +219,8 @@ impl FaultSim {
             (1u64 << block.len()) - 1
         };
         let mut faulty = good.clone();
+        let mut worklist = self.kernel.make_worklist();
+        let mut changed = Vec::new();
         let mut masks = Vec::new();
         for (index, fault) in faults.iter().enumerate() {
             if detected[index] {
@@ -221,8 +231,14 @@ impl FaultSim {
                 // The fault is never activated by this block.
                 continue;
             }
-            let lanes =
-                self.detecting_lanes(netlist, &good, &mut faulty, fault, forced, active_mask);
+            let lanes = self.detecting_lanes(
+                netlist,
+                &good,
+                &mut faulty,
+                (&mut worklist, &mut changed),
+                fault,
+                active_mask,
+            );
             if lanes != 0 {
                 masks.push((index, lanes));
             }
@@ -273,28 +289,72 @@ impl FaultSim {
         detected.iter().filter(|&&d| d).count() as f64 / faults.len() as f64
     }
 
-    /// Evaluates the fanout cone of the fault on top of the fault-free
-    /// values and returns the lane mask (within `active_mask`) on which the
-    /// fault effect reaches an observation point. `faulty` is restored to
-    /// `good` before returning.
+    /// Forces the fault site on the faulty overlay (`faulty == good` on
+    /// entry), propagates the difference event-driven from the site's loads
+    /// and returns the lane mask (within `active_mask`) on which the fault
+    /// effect reaches an observation point. Only the nets that changed are
+    /// read for the mask and restored, so `faulty` equals `good` again on
+    /// return and the cost follows the effect, not the cone.
     fn detecting_lanes(
         &self,
         netlist: &Netlist,
         good: &[PackedWord],
         faulty: &mut [PackedWord],
+        (worklist, changed): (&mut DirtyWorklist, &mut Vec<NetId>),
         fault: &Fault,
-        forced: PackedWord,
+        active_mask: u64,
+    ) -> u64 {
+        changed.clear();
+        changed.push(fault.net);
+        faulty[fault.net.index()] = fault.forced_word();
+        self.kernel.mark_net_changed(fault.net, worklist);
+        self.kernel
+            .propagate_from(netlist, faulty, worklist, |net, _, _| changed.push(net));
+
+        // Accumulate over every changed observation point (the unchanged
+        // ones carry no difference): the complete lane mask is needed so
+        // that the first-detecting-pattern credit matches a
+        // pattern-at-a-time simulation exactly.
+        let mut difference = 0u64;
+        for &net in changed.iter() {
+            if self.is_observation[net.index()] {
+                difference |= (good[net.index()].ones() ^ faulty[net.index()].ones()) & active_mask;
+            }
+            faulty[net.index()] = good[net.index()];
+        }
+        difference
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernel;
+    use crate::patterns::random_bool_patterns;
+    use crate::{Evaluator, Logic};
+    use scanpower_netlist::generator::CircuitFamily;
+    use scanpower_netlist::{bench, topo, GateKind};
+
+    /// The cone-scan fault propagation this module replaced, kept verbatim
+    /// as the reference: a breadth-first fanout cone per fault, a gate-count
+    /// membership vector, a scan of the full topological order, and a mask
+    /// over every observation point.
+    fn cone_scan_detecting_lanes(
+        sim: &FaultSim,
+        netlist: &Netlist,
+        good: &[PackedWord],
+        faulty: &mut [PackedWord],
+        fault: &Fault,
         active_mask: u64,
     ) -> u64 {
         let mut touched: Vec<NetId> = vec![fault.net];
-        faulty[fault.net.index()] = forced;
-
+        faulty[fault.net.index()] = fault.forced_word();
         let cone = topo::fanout_cone(netlist, fault.net);
         let mut in_cone = vec![false; netlist.gate_count()];
         for &gate in &cone {
             in_cone[gate.index()] = true;
         }
-        for &gate_id in self.kernel.order() {
+        for &gate_id in sim.kernel.order() {
             if !in_cone[gate_id.index()] {
                 continue;
             }
@@ -305,28 +365,76 @@ impl FaultSim {
                 faulty[gate.output.index()] = value;
             }
         }
-
-        // Accumulate over every observation point: the complete lane mask is
-        // needed so that the first-detecting-pattern credit matches a
-        // pattern-at-a-time simulation exactly.
         let mut difference = 0u64;
-        for &obs in &self.observation {
+        for &obs in &sim.observation {
             difference |= (good[obs.index()].ones() ^ faulty[obs.index()].ones()) & active_mask;
         }
-
         for net in touched {
             faulty[net.index()] = good[net.index()];
         }
         difference
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::patterns::random_bool_patterns;
-    use crate::{Evaluator, Logic};
-    use scanpower_netlist::{bench, GateKind};
+    /// Event-driven lane masks must equal the cone-scan oracle's for every
+    /// fault (activated or not) on full and partial blocks, and the faulty
+    /// overlay must be restored to the fault-free values after every fault.
+    #[test]
+    fn lane_masks_match_oracle_on_full_and_partial_blocks() {
+        let circuits = [
+            bench::parse(bench::S27_BENCH, "s27").unwrap(),
+            CircuitFamily::iscas89_like("s1238")
+                .unwrap()
+                .scaled(0.3)
+                .generate(1),
+            CircuitFamily::iscas89_like("s5378")
+                .unwrap()
+                .scaled(0.1)
+                .generate(1),
+        ];
+        for netlist in &circuits {
+            let sim = FaultSim::new(netlist);
+            let faults = all_net_faults(netlist);
+            let width = netlist.combinational_inputs().len();
+            let mut worklist = sim.kernel.make_worklist();
+            let mut changed = Vec::new();
+            let mut detecting = 0usize;
+            for (block_len, seed) in [(64, 4), (23, 5), (1, 6)] {
+                let block = random_bool_patterns(width, block_len, seed);
+                let good = sim.good_packed(netlist, &block);
+                let active_mask = PackedWord::lane_mask(block_len);
+                let mut faulty = good.clone();
+                let mut reference = good.clone();
+                for fault in &faults {
+                    let lanes = sim.detecting_lanes(
+                        netlist,
+                        &good,
+                        &mut faulty,
+                        (&mut worklist, &mut changed),
+                        fault,
+                        active_mask,
+                    );
+                    let expected = cone_scan_detecting_lanes(
+                        &sim,
+                        netlist,
+                        &good,
+                        &mut reference,
+                        fault,
+                        active_mask,
+                    );
+                    assert_eq!(
+                        lanes,
+                        expected,
+                        "{}: {} on a {block_len}-pattern block",
+                        netlist.name(),
+                        fault.describe(netlist)
+                    );
+                    assert_eq!(faulty, good, "overlay not restored");
+                    detecting += usize::from(lanes != 0);
+                }
+            }
+            assert!(detecting > 0, "{}: nothing detected", netlist.name());
+        }
+    }
 
     #[test]
     fn good_values_match_scalar_simulation() {

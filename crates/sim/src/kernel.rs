@@ -919,9 +919,11 @@ impl<W: LogicWord> SimKernel<W> {
 
     /// Re-evaluates every gate (in topological order) over a caller-provided
     /// per-net value buffer. Source nets are left untouched; every driven
-    /// net is overwritten. This is the primitive behind every simulator in
-    /// the workspace; callers that seed arbitrary net values (the fault
-    /// simulator, PODEM) drive it directly.
+    /// net is overwritten. This is the full-sweep primitive behind every
+    /// simulator in the workspace; callers that seed arbitrary net values
+    /// (the fault simulator's fault-free pass) drive it directly; the
+    /// event-driven [`SimKernel::propagate_pinned`] re-settles a buffer to
+    /// exactly what this sweep would produce.
     ///
     /// # Panics
     ///
@@ -999,6 +1001,8 @@ impl<W: LogicWord> SimKernel<W> {
     ///
     /// The worklist is drained and ready for the next cycle on return.
     ///
+    /// This is [`SimKernel::propagate_pinned`] with no pin.
+    ///
     /// # Panics
     ///
     /// Panics if `values` is shorter than the number of nets or `netlist`
@@ -1009,8 +1013,35 @@ impl<W: LogicWord> SimKernel<W> {
         netlist: &Netlist,
         values: &mut [W],
         worklist: &mut DirtyWorklist,
+        on_change: F,
+    ) where
+        F: FnMut(NetId, W, W),
+    {
+        self.propagate_pinned(netlist, values, worklist, |_, word| word, on_change);
+    }
+
+    /// The kernel's one event-driven propagation loop:
+    /// [`SimKernel::propagate_from`] with an output hook. Every re-evaluated
+    /// gate's output word passes through `pin(net, word)` before it is
+    /// compared and stored, so a caller can hold chosen lanes of chosen nets
+    /// at fixed values — PODEM pins the faulty-machine lane of the fault
+    /// site this way. The buffer is settled on return in the pinned sense:
+    /// it equals a full topological sweep that applies the same `pin` to
+    /// every gate output. A pinned source net must be written pinned by the
+    /// caller, since no gate drives it.
+    ///
+    /// # Panics
+    ///
+    /// As [`SimKernel::propagate_from`].
+    pub fn propagate_pinned<P, F>(
+        &self,
+        netlist: &Netlist,
+        values: &mut [W],
+        worklist: &mut DirtyWorklist,
+        mut pin: P,
         mut on_change: F,
     ) where
+        P: FnMut(NetId, W) -> W,
         F: FnMut(NetId, W, W),
     {
         assert!(values.len() >= self.net_count, "value buffer too small");
@@ -1033,7 +1064,7 @@ impl<W: LogicWord> SimKernel<W> {
             let mut bucket = std::mem::take(&mut worklist.buckets[level]);
             for &gate_index in &bucket {
                 let gate = netlist.gate(GateId::from_index(gate_index as usize));
-                let new = eval_gate_at(gate.kind, &gate.inputs, values);
+                let new = pin(gate.output, eval_gate_at(gate.kind, &gate.inputs, values));
                 let old = values[gate.output.index()];
                 if new != old {
                     values[gate.output.index()] = new;
@@ -1626,6 +1657,83 @@ mod tests {
         });
         assert!(changed.is_empty(), "blocked transition must not propagate");
         assert_eq!(values[g.output.index()], Logic::One);
+    }
+
+    /// Pinned propagation must settle to the full sweep that applies the
+    /// same pin to every gate output, and the pinned lane must never move —
+    /// for a pinned gate output and for a pinned combinational input.
+    #[test]
+    fn propagate_pinned_matches_pinned_full_sweep() {
+        let netlist = bench::parse(bench::S27_BENCH, "s27").unwrap();
+        let kernel = SimKernel::<PackedWord>::new(&netlist);
+        let mut worklist = kernel.make_worklist();
+        let mut seed = 0x0f1e_2d3c_4b5a_6978u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut random_word =
+            move || PackedWord::from_planes(next() | u64::MAX << 32, next() | u64::MAX >> 32);
+        let middle_gate = kernel.order()[kernel.order().len() / 2];
+        let sites = [
+            (netlist.gate(middle_gate).output, Logic::Zero),
+            (kernel.inputs()[0], Logic::One),
+        ];
+        for (site, stuck) in sites {
+            let pin = |net: NetId, mut word: PackedWord| {
+                if net == site {
+                    word.set_lane(1, stuck);
+                }
+                word
+            };
+            let full_sweep = |inputs: &[PackedWord]| {
+                let mut values = vec![PackedWord::splat(Logic::X); netlist.net_count()];
+                for (&net, &word) in kernel.inputs().iter().zip(inputs) {
+                    values[net.index()] = pin(net, word);
+                }
+                for &gate_id in kernel.order() {
+                    let gate = netlist.gate(gate_id);
+                    values[gate.output.index()] =
+                        pin(gate.output, eval_gate_at(gate.kind, &gate.inputs, &values));
+                }
+                values
+            };
+            let mut inputs: Vec<PackedWord> =
+                kernel.inputs().iter().map(|_| random_word()).collect();
+            let mut values = full_sweep(&inputs);
+            for round in 0..50 {
+                for (slot, &net) in inputs.iter_mut().zip(kernel.inputs()) {
+                    if random_word().can0() % 3 == 0 {
+                        *slot = random_word();
+                        let word = pin(net, *slot);
+                        if values[net.index()] != word {
+                            values[net.index()] = word;
+                            kernel.mark_net_changed(net, &mut worklist);
+                        }
+                    }
+                }
+                kernel.propagate_pinned(
+                    &netlist,
+                    &mut values,
+                    &mut worklist,
+                    pin,
+                    |net, old, new| {
+                        if net == site {
+                            assert_eq!(
+                                old.lane(1),
+                                new.lane(1),
+                                "round {round}: pinned lane moved"
+                            );
+                        }
+                    },
+                );
+                assert!(worklist.is_empty(), "round {round}: worklist must drain");
+                assert_eq!(values, full_sweep(&inputs), "round {round}: diverged");
+                assert_eq!(values[site.index()].lane(1), stuck, "round {round}");
+            }
+        }
     }
 
     #[test]

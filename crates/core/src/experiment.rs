@@ -19,14 +19,13 @@ use scanpower_lint::{lint_netlist, LintFacts};
 use scanpower_netlist::generator::CircuitFamily;
 use scanpower_netlist::Netlist;
 use scanpower_power::{
-    DynamicPower, LeakageAverage, LeakageEstimator, LeakageLibrary, LeakageLookup,
-    PackedShiftLeakage,
+    DynamicPower, LeakageAverage, LeakageEstimator, LeakageLibrary, PackedShiftLeakage,
 };
 use scanpower_sim::failpoint;
-use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig, ShiftPhase, ShiftStats};
+use scanpower_sim::scan::{ScanPattern, ShiftConfig, ShiftStats};
 use scanpower_sim::{
-    BlockDriver, CancelFlag, Canceled, JobFailure, JobPolicy, PackedLogicWord, PackedScanShiftSim,
-    PackedWord, Propagation, Wide256, Wide512,
+    BlockDriver, CancelFlag, Canceled, JobFailure, JobPolicy, PackedScanShiftSim, PackedWord,
+    Propagation,
 };
 use scanpower_wire::Wire;
 
@@ -215,44 +214,6 @@ pub struct ExperimentOptions {
     /// whatever the count.
     #[serde(default)]
     pub threads: usize,
-    /// Replay the scan-shift process on the packed 64-lane kernel
-    /// ([`PackedScanShiftSim`]) instead of the scalar event-driven
-    /// simulator. Both paths produce bit-identical results; the packed
-    /// replay is the fast default, the scalar path is kept for
-    /// cross-checking.
-    #[serde(default = "default_packed_replay")]
-    pub packed_replay: bool,
-    /// Lane width of the packed replay: how many patterns one kernel pass
-    /// evaluates. `64` (the default) runs on [`PackedWord`]; `256` and
-    /// `512` opt into the wide multi-word types
-    /// ([`Wide256`]/[`Wide512`]), which amortize the per-pass overhead of
-    /// each shift cycle over more patterns. Every width produces
-    /// bit-identical results — stats, per-net toggles and the static-power
-    /// average — so the choice is purely a throughput knob. Ignored by the
-    /// scalar replay (`packed_replay = false`). Any other value makes the
-    /// replay panic.
-    #[serde(default = "default_lane_width")]
-    pub lane_width: usize,
-    /// Propagate each packed shift cycle event-driven
-    /// ([`Propagation::EventDriven`]): only the fanout cones of the nets
-    /// that actually changed are re-evaluated, and the static-power
-    /// observer re-gathers only the gates those nets feed. `false` selects
-    /// the full-topological-sweep cross-check ([`Propagation::FullSweep`]);
-    /// both modes are bit-identical — a named CI suite step keeps the
-    /// full-sweep configuration exercised, mirroring
-    /// [`scalar_leakage_lookup`](ExperimentOptions::scalar_leakage_lookup).
-    /// Ignored by the scalar replay (`packed_replay = false`), which has
-    /// its own (scalar) event-driven engine.
-    #[serde(default = "default_event_driven")]
-    pub event_driven: bool,
-    /// Build the static-power estimator with [`LeakageLookup::Scalar`]:
-    /// the packed observer then re-runs the scalar subset-enumeration
-    /// lookup per gate × lane instead of gathering from the precomputed
-    /// ternary tables. Both lookups are bit-identical by construction —
-    /// this flag exists purely so the cross-check configuration stays
-    /// exercised (CI runs the suite with it once per matrix entry).
-    #[serde(default)]
-    pub scalar_leakage_lookup: bool,
     /// Run the [`scanpower_lint`] static-analysis preflight before the
     /// experiment (the default). [`CircuitExperiment::run`] then refuses —
     /// with the full lint report — any circuit carrying an Error-severity
@@ -260,15 +221,6 @@ pub struct ExperimentOptions {
     /// …), instead of failing deep inside the replay kernel.
     #[serde(default = "default_lint_preflight")]
     pub lint_preflight: bool,
-    /// Let the packed replay's static-power observer skip provably-static
-    /// gates (the default): each scheme's shift configuration is analyzed
-    /// with [`LintFacts::analyze_shift`] and gates whose inputs are settled
-    /// constants contribute a precomputed value instead of a per-cycle
-    /// table gather. Bit-identical by construction (a CI-pinned agreement
-    /// suite keeps the off-configuration exercised); ignored by the scalar
-    /// replay.
-    #[serde(default = "default_lint_facts_skip")]
-    pub lint_facts_skip: bool,
     /// Resource ceilings checked before any simulation work dispatches —
     /// see [`ResourceLimits`]. Unlimited by default.
     #[serde(default)]
@@ -292,35 +244,16 @@ pub struct ExperimentOptions {
     /// (netlist, semantic options) before running ATPG, and
     /// [`CircuitExperiment::try_evaluate_scheme_stats`] does the same per
     /// scheme replay; hits return the stored bytes with the replay skipped
-    /// entirely. Keys deliberately *exclude* the pure bit-identity knobs
-    /// (`threads`, `packed_replay`, `lane_width`, `event_driven`,
-    /// `scalar_leakage_lookup`, `lint_facts_skip` — every configuration the
-    /// workspace pins as byte-identical), so a warm cache serves across
-    /// thread counts and lane widths; see
-    /// [`semantic_options_bytes`]. Cached rows are byte-identical to
-    /// recomputed ones because the experiments are deterministic — the
-    /// `cache_identity` CI step pins exactly that.
+    /// entirely. Keys deliberately *exclude* `threads` (every thread count
+    /// is pinned byte-identical), so a warm cache serves across thread
+    /// counts; see [`semantic_options_bytes`]. Cached rows are
+    /// byte-identical to recomputed ones because the experiments are
+    /// deterministic — the `cache_identity` CI step pins exactly that.
     #[serde(default, skip)]
     pub result_cache: ResultCacheHandle,
 }
 
-fn default_packed_replay() -> bool {
-    true
-}
-
 fn default_lint_preflight() -> bool {
-    true
-}
-
-fn default_lint_facts_skip() -> bool {
-    true
-}
-
-fn default_lane_width() -> usize {
-    64
-}
-
-fn default_event_driven() -> bool {
     true
 }
 
@@ -331,12 +264,7 @@ impl Default for ExperimentOptions {
             max_patterns: None,
             proposed: ProposedOptions::default(),
             threads: 0,
-            packed_replay: default_packed_replay(),
-            lane_width: default_lane_width(),
-            event_driven: default_event_driven(),
-            scalar_leakage_lookup: false,
             lint_preflight: default_lint_preflight(),
-            lint_facts_skip: default_lint_facts_skip(),
             limits: ResourceLimits::default(),
             retries: 0,
             job_deadline_ms: None,
@@ -356,9 +284,8 @@ impl Default for ExperimentOptions {
 ///
 /// Excluded, with the invariant that justifies each exclusion:
 ///
-/// * `threads`, `packed_replay`, `lane_width`, `event_driven`,
-///   `scalar_leakage_lookup`, `lint_facts_skip` — the workspace's pinned
-///   bit-identity matrix: every combination produces byte-identical rows.
+/// * `threads` — every thread count produces byte-identical rows (pinned
+///   across {1, 3, auto} by the suite).
 /// * `lint_preflight` and `limits.max_gates` — enforced *before* the cache
 ///   lookup, so a refused circuit never reaches the cache.
 /// * `limits.max_replayed_patterns` — enforced *on* cache hits against the
@@ -387,8 +314,7 @@ fn row_cache_key(netlist_bytes: &[u8], options: &ExperimentOptions) -> CacheKey 
 
 /// The result-cache key of one scheme replay's `(SchemePower, ShiftStats)`.
 /// The replay is a deterministic function of (netlist, patterns, shift
-/// config) alone — every replay knob is bit-identity — so no options enter
-/// the key.
+/// config) alone, so no options enter the key.
 fn scheme_cache_key(netlist: &Netlist, patterns: &[ScanPattern], config: &ShiftConfig) -> CacheKey {
     let mut pattern_bytes = scanpower_wire::WireWriter::new();
     pattern_bytes.write_len(patterns.len());
@@ -445,64 +371,28 @@ impl CircuitExperiment {
         &self.options
     }
 
-    /// Measures dynamic and static scan power of one structure.
-    #[must_use]
-    pub fn evaluate_scheme(
-        &self,
-        netlist: &Netlist,
-        patterns: &[ScanPattern],
-        config: &ShiftConfig,
-    ) -> SchemePower {
-        self.evaluate_scheme_stats(netlist, patterns, config).0
-    }
-
-    /// Like [`CircuitExperiment::evaluate_scheme`], but also returns the
+    /// Measures dynamic and static scan power of one structure, with the
     /// full per-net [`ShiftStats`] of the replay.
     ///
-    /// The replay runs on the packed 64-pattern simulator when
-    /// [`ExperimentOptions::packed_replay`] is set (the default) and on the
-    /// scalar event-driven simulator otherwise; both produce bit-identical
-    /// stats *and* power numbers — the packed path buffers each block's
-    /// per-cycle lane leakages and accumulates them in the scalar pattern-
-    /// major order ([`PackedShiftLeakage`]), so even the floating-point
-    /// static average matches bit for bit. The packed replay propagates
-    /// each shift cycle event-driven by default
-    /// ([`ExperimentOptions::event_driven`]), re-evaluating and re-gathering
-    /// only what the cycle's changed nets reach; `event_driven = false`
-    /// selects the bit-identical full-sweep cross-check. The observer's
-    /// per-gate table lookup is lane-parallel by default;
-    /// [`ExperimentOptions::scalar_leakage_lookup`] switches it to the
-    /// (equally bit-identical) scalar enumeration for cross-checks. The
-    /// packed replay's block size follows
-    /// [`ExperimentOptions::lane_width`] (64 on [`PackedWord`], 256/512 on
-    /// the wide words — bit-identical at every width).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unsupported [`ExperimentOptions::lane_width`] — the
-    /// thin panicking wrapper over
-    /// [`CircuitExperiment::try_evaluate_scheme_stats`], which returns the
-    /// typed [`ExperimentError`] instead.
-    #[must_use]
-    pub fn evaluate_scheme_stats(
-        &self,
-        netlist: &Netlist,
-        patterns: &[ScanPattern],
-        config: &ShiftConfig,
-    ) -> (SchemePower, ShiftStats) {
-        self.try_evaluate_scheme_stats(netlist, patterns, config)
-            .unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// The fallible sibling of
-    /// [`CircuitExperiment::evaluate_scheme_stats`]: an unsupported
-    /// [`ExperimentOptions::lane_width`] comes back as
-    /// [`ExperimentError::UnsupportedLaneWidth`] instead of panicking.
+    /// The replay runs on the packed 64-pattern simulator
+    /// ([`PackedScanShiftSim`]), propagating each shift cycle event-driven
+    /// ([`Propagation::EventDriven`]) so only what the cycle's changed nets
+    /// reach is re-evaluated and re-gathered. The static-power observer
+    /// ([`PackedShiftLeakage`]) gathers per-gate leakage lane-parallel from
+    /// the estimator's ternary tables
+    /// ([`LeakageLookup::LaneParallel`](scanpower_power::LeakageLookup::LaneParallel)),
+    /// skips the gates [`LintFacts::analyze_shift`] settles under this
+    /// scheme's forcing, and accumulates each block's lane leakages in the
+    /// scalar pattern-major order — so stats *and* power numbers are
+    /// bit-identical to the scalar pattern-at-a-time replay
+    /// ([`ScanShiftSim`](scanpower_sim::scan::ScanShiftSim)). The suite's
+    /// `replay_identity` differential test pins that against every
+    /// reference path (scalar replay, full sweep, scalar lookup, no skip).
     ///
     /// # Errors
     ///
-    /// Returns [`ExperimentError::UnsupportedLaneWidth`] when
-    /// [`ExperimentOptions::lane_width`] is not 64, 256 or 512.
+    /// None today: the replay has no failure mode without a cancellation
+    /// flag. The `Result` keeps the signature stable for callers.
     pub fn try_evaluate_scheme_stats(
         &self,
         netlist: &Netlist,
@@ -512,10 +402,9 @@ impl CircuitExperiment {
         self.scheme_stats(netlist, patterns, config, None)
     }
 
-    /// The cancellable scheme replay behind both public entry points: the
+    /// The cancellable scheme replay behind the public entry point: the
     /// packed replay polls `cancel` once per block
-    /// ([`PackedScanShiftSim::try_run_cycles_wide`]); the scalar replay
-    /// checks it once before replaying.
+    /// ([`PackedScanShiftSim::try_run_cycles_wide`]).
     fn scheme_stats(
         &self,
         netlist: &Netlist,
@@ -523,14 +412,9 @@ impl CircuitExperiment {
         config: &ShiftConfig,
         cancel: Option<&CancelFlag>,
     ) -> ExperimentResult<(SchemePower, ShiftStats)> {
-        let canceled = || ExperimentError::Canceled {
-            circuit: netlist.name().to_owned(),
-        };
         // Content-addressed shortcut: the replay is a deterministic
         // function of (netlist, patterns, config), so a cached result is
-        // byte-identical to a fresh one — including across lane widths,
-        // propagation modes and lookup modes, which is why none of those
-        // knobs enter the key.
+        // byte-identical to a fresh one.
         let cache_key = self.options.result_cache.get().map(|cache| {
             let key = scheme_cache_key(netlist, patterns, config);
             (cache, key)
@@ -540,74 +424,11 @@ impl CircuitExperiment {
                 return Ok(cached);
             }
         }
-        // The scalar replay only ever calls `circuit_leakage`, which never
-        // touches the ternary tables — skip the precompute there too.
-        let lookup = if self.options.scalar_leakage_lookup || !self.options.packed_replay {
-            LeakageLookup::Scalar
-        } else {
-            LeakageLookup::LaneParallel
-        };
-        let estimator = LeakageEstimator::with_lookup(netlist, &self.library, lookup);
-        let (stats, leakage) = if self.options.packed_replay {
-            let propagation = if self.options.event_driven {
-                Propagation::EventDriven
-            } else {
-                Propagation::FullSweep
-            };
-            // Ternary constant propagation under this scheme's shift
-            // forcing: the observer skips every gate the analysis settles.
-            let facts = if self.options.lint_facts_skip {
-                Some(LintFacts::analyze_shift(netlist, config))
-            } else {
-                None
-            };
-            let facts = facts.as_ref();
-            let replayed = match self.options.lane_width {
-                64 => packed_scheme_replay::<PackedWord>(
-                    netlist,
-                    patterns,
-                    config,
-                    propagation,
-                    &estimator,
-                    facts,
-                    cancel,
-                ),
-                256 => packed_scheme_replay::<Wide256>(
-                    netlist,
-                    patterns,
-                    config,
-                    propagation,
-                    &estimator,
-                    facts,
-                    cancel,
-                ),
-                512 => packed_scheme_replay::<Wide512>(
-                    netlist,
-                    patterns,
-                    config,
-                    propagation,
-                    &estimator,
-                    facts,
-                    cancel,
-                ),
-                other => return Err(ExperimentError::UnsupportedLaneWidth(other)),
-            };
-            replayed.map_err(|Canceled| canceled())?
-        } else {
-            // The scalar replay has no block seam to poll from; honour the
-            // flag at scheme granularity instead.
-            if let Some(cancel) = cancel {
-                cancel.checkpoint().map_err(|Canceled| canceled())?;
-            }
-            let sim = ScanShiftSim::new(netlist);
-            let mut leakage = LeakageAverage::new();
-            let stats = sim.run_with_observer(netlist, patterns, config, |phase, values| {
-                if phase == ShiftPhase::Shift {
-                    leakage.add(estimator.circuit_leakage(netlist, values));
-                }
-            });
-            (stats, leakage)
-        };
+        let estimator = LeakageEstimator::new(netlist, &self.library);
+        let (stats, leakage) = packed_scheme_replay(netlist, patterns, config, &estimator, cancel)
+            .map_err(|Canceled| ExperimentError::Canceled {
+                circuit: netlist.name().to_owned(),
+            })?;
         let dynamic = self.dynamic.report(netlist, &stats);
         let power = SchemePower {
             dynamic_per_hz_uw: dynamic.per_hz_uw,
@@ -627,9 +448,9 @@ impl CircuitExperiment {
     ///
     /// The thin panicking wrapper over [`CircuitExperiment::try_run`]: any
     /// [`ExperimentError`] — no scan cells, a lint-preflight rejection
-    /// (the panic message carries the full report), a resource ceiling, an
-    /// unsupported lane width, a netlist validation failure — panics with
-    /// the error's deterministic `Display` message.
+    /// (the panic message carries the full report), a resource ceiling, a
+    /// netlist validation failure — panics with the error's deterministic
+    /// `Display` message.
     #[must_use]
     pub fn run(&self, netlist: &Netlist) -> CircuitRow {
         self.try_run(netlist)
@@ -686,17 +507,15 @@ impl CircuitExperiment {
     /// cells, [`ExperimentError::ResourceLimit`] when a
     /// [`ResourceLimits`] ceiling refuses the circuit,
     /// [`ExperimentError::Lint`] when the preflight (on by default) finds
-    /// Error-severity diagnostics, [`ExperimentError::Netlist`] when a
-    /// transformation step fails, and
-    /// [`ExperimentError::UnsupportedLaneWidth`] for a bad
-    /// [`ExperimentOptions::lane_width`].
+    /// Error-severity diagnostics, and [`ExperimentError::Netlist`] when a
+    /// transformation step fails.
     pub fn try_run(&self, netlist: &Netlist) -> ExperimentResult<CircuitRow> {
         self.try_run_with_cancel(netlist, None)
     }
 
     /// [`CircuitExperiment::try_run`] with cooperative cancellation: the
     /// flag is polled at every scheme boundary and — in the packed replay —
-    /// at every ≤`lane_width`-pattern block boundary, wound down as a
+    /// at every ≤64-pattern block boundary, wound down as a
     /// deterministic [`ExperimentError::Canceled`].
     ///
     /// # Errors
@@ -825,29 +644,28 @@ impl CircuitExperiment {
     }
 }
 
-/// Replays one scheme on the packed simulator at `W::LANES` patterns per
-/// pass, with the lane-aware static-power observer riding the per-cycle
-/// delta — the width-generic engine behind
-/// [`CircuitExperiment::evaluate_scheme_stats`]'s `lane_width` dispatch.
-/// `cancel` is polled once per block by the replay.
-fn packed_scheme_replay<W: PackedLogicWord>(
+/// Replays one scheme on the packed simulator, 64 patterns per pass, with
+/// the lane-aware static-power observer riding the per-cycle delta and
+/// skipping the gates the ternary shift analysis settles — the engine
+/// behind [`CircuitExperiment::try_evaluate_scheme_stats`]. `cancel` is
+/// polled once per block by the replay.
+fn packed_scheme_replay(
     netlist: &Netlist,
     patterns: &[ScanPattern],
     config: &ShiftConfig,
-    propagation: Propagation,
     estimator: &LeakageEstimator,
-    facts: Option<&LintFacts>,
     cancel: Option<&CancelFlag>,
 ) -> Result<(ShiftStats, LeakageAverage), Canceled> {
-    let sim = PackedScanShiftSim::new(netlist);
-    let mut leakage = match facts {
-        Some(facts) => PackedShiftLeakage::<W>::with_facts(netlist, estimator, facts),
-        None => PackedShiftLeakage::<W>::new(netlist, estimator),
-    };
-    let stats =
-        sim.try_run_cycles_wide::<W, _>(netlist, patterns, config, propagation, cancel, |cycle| {
-            leakage.observe_cycle(cycle);
-        })?;
+    let facts = LintFacts::analyze_shift(netlist, config);
+    let mut leakage = PackedShiftLeakage::<PackedWord>::with_facts(netlist, estimator, &facts);
+    let stats = PackedScanShiftSim::new(netlist).try_run_cycles_wide::<PackedWord, _>(
+        netlist,
+        patterns,
+        config,
+        Propagation::EventDriven,
+        cancel,
+        |cycle| leakage.observe_cycle(cycle),
+    )?;
     Ok((stats, leakage.into_average()))
 }
 
@@ -1229,6 +1047,7 @@ fn run_streamed(
 mod tests {
     use super::*;
     use scanpower_netlist::bench;
+    use scanpower_power::LeakageLookup;
 
     #[test]
     fn s27_row_shows_reductions() {
@@ -1273,69 +1092,71 @@ mod tests {
         assert!((improvement(4.0, 1.0) - 75.0).abs() < 1e-12);
     }
 
-    /// The packed replay and the scalar replay must produce bit-identical
-    /// rows — stats are integers and the static average is accumulated in
-    /// the identical order, so plain equality is the right assertion.
+    /// The scalar pattern-at-a-time reference replay of one scheme, with
+    /// the per-cycle scalar leakage observer.
+    fn scalar_scheme_stats(
+        netlist: &Netlist,
+        patterns: &[ScanPattern],
+        config: &ShiftConfig,
+    ) -> (SchemePower, ShiftStats) {
+        use scanpower_sim::scan::{ScanShiftSim, ShiftPhase};
+        let library = LeakageLibrary::cmos45();
+        let estimator = LeakageEstimator::with_lookup(netlist, &library, LeakageLookup::Scalar);
+        let mut leakage = LeakageAverage::new();
+        let stats = ScanShiftSim::new(netlist).run_with_observer(
+            netlist,
+            patterns,
+            config,
+            |phase, values| {
+                if phase == ShiftPhase::Shift {
+                    leakage.add(estimator.circuit_leakage(netlist, values));
+                }
+            },
+        );
+        let power = SchemePower {
+            dynamic_per_hz_uw: DynamicPower::new().report(netlist, &stats).per_hz_uw,
+            static_uw: leakage.average_uw(&library),
+            total_toggles: stats.total_toggles,
+            shift_cycles: stats.shift_cycles,
+        };
+        (power, stats)
+    }
+
+    /// A whole Table I row equals the row assembled from scalar
+    /// pattern-at-a-time replays of the same three schemes: the production
+    /// packed replay changes no bit anywhere in the pipeline.
     #[test]
     fn packed_and_scalar_replay_produce_identical_rows() {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let packed = CircuitExperiment::new(ExperimentOptions {
-            packed_replay: true,
-            ..ExperimentOptions::fast()
-        });
-        let scalar = CircuitExperiment::new(ExperimentOptions {
-            packed_replay: false,
-            ..ExperimentOptions::fast()
-        });
-        assert!(packed.options().packed_replay);
-        assert_eq!(packed.run(&n), scalar.run(&n));
+        let options = ExperimentOptions::fast();
+        let row = CircuitExperiment::new(options.clone()).run(&n);
+
+        let mut patterns = AtpgFlow::new(options.atpg.clone())
+            .run(&n)
+            .to_scan_patterns(&n);
+        patterns.truncate(options.max_patterns.expect("fast() caps the patterns"));
+        assert_eq!(row.patterns, patterns.len());
+        let traditional = scalar_scheme_stats(&n, &patterns, &traditional_shift_config(&n)).0;
+        assert_eq!(row.traditional, traditional);
+
+        let baseline = InputControlBaseline::new();
+        let plan = baseline.plan(&n);
+        let input_control = scalar_scheme_stats(&n, &patterns, &baseline.shift_config(&n, &plan)).0;
+        assert_eq!(row.input_control, input_control);
+
+        let proposed = ProposedMethod::new(options.proposed).apply(&n).unwrap();
+        let proposed_power = scalar_scheme_stats(
+            proposed.structure.netlist(),
+            &proposed.structure.adapt_patterns(&patterns),
+            &proposed.structure.shift_config(&proposed.scan_mode_pi),
+        )
+        .0;
+        assert_eq!(row.proposed, proposed_power);
     }
 
-    /// The full-sweep cross-check configuration (`event_driven = false`)
-    /// must reproduce the default event-driven rows bit for bit, alone and
-    /// combined with the scalar-lookup cross-check.
-    #[test]
-    fn full_sweep_cross_check_produces_identical_rows() {
-        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let reference = CircuitExperiment::new(ExperimentOptions::fast());
-        assert!(
-            reference.options().event_driven,
-            "event-driven is the default"
-        );
-        let reference = reference.run(&n);
-        for scalar_leakage_lookup in [false, true] {
-            let cross_check = CircuitExperiment::new(ExperimentOptions {
-                event_driven: false,
-                scalar_leakage_lookup,
-                ..ExperimentOptions::fast()
-            })
-            .run(&n);
-            assert_eq!(
-                cross_check, reference,
-                "scalar_leakage_lookup {scalar_leakage_lookup}"
-            );
-        }
-    }
-
-    /// The scalar-lookup cross-check configuration must reproduce the
-    /// default lane-parallel rows bit for bit, under either replay.
-    #[test]
-    fn scalar_leakage_lookup_produces_identical_rows() {
-        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let reference = CircuitExperiment::new(ExperimentOptions::fast()).run(&n);
-        for packed_replay in [true, false] {
-            let cross_check = CircuitExperiment::new(ExperimentOptions {
-                packed_replay,
-                scalar_leakage_lookup: true,
-                ..ExperimentOptions::fast()
-            })
-            .run(&n);
-            assert_eq!(cross_check, reference, "packed_replay {packed_replay}");
-        }
-    }
-
-    /// Per-scheme `ShiftStats` from the packed replay equal the scalar
-    /// ones exactly, including the per-net toggle counts.
+    /// Per-scheme `ShiftStats` and power from the production replay equal
+    /// the scalar reference replay exactly, including the per-net toggle
+    /// counts and the bits of both power numbers.
     #[test]
     fn evaluate_scheme_stats_agree_between_replays() {
         use scanpower_sim::patterns::random_bool_patterns;
@@ -1346,116 +1167,18 @@ mod tests {
             .into_iter()
             .map(|bits| ScanPattern::from_bools(&bits[..pi], &bits[pi..]))
             .collect();
-        let packed = CircuitExperiment::new(ExperimentOptions {
-            packed_replay: true,
-            ..ExperimentOptions::fast()
-        });
-        let scalar = CircuitExperiment::new(ExperimentOptions {
-            packed_replay: false,
-            ..ExperimentOptions::fast()
-        });
         let config = traditional_shift_config(&n);
-        let (packed_power, packed_stats) = packed.evaluate_scheme_stats(&n, &patterns, &config);
-        let (scalar_power, scalar_stats) = scalar.evaluate_scheme_stats(&n, &patterns, &config);
-        assert_eq!(packed_stats, scalar_stats);
-        assert_eq!(packed_power, scalar_power);
-        assert!(packed_stats.total_toggles > 0);
-    }
-
-    /// Wide lane widths must reproduce the 64-lane rows bit for bit —
-    /// stats are integers and the static average is pattern-major at every
-    /// width, so plain row equality is the right assertion.
-    #[test]
-    fn wide_lane_widths_produce_identical_rows() {
-        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let reference = CircuitExperiment::new(ExperimentOptions::fast());
-        assert_eq!(reference.options().lane_width, 64, "64 is the default");
-        let reference = reference.run(&n);
-        for lane_width in [256, 512] {
-            for event_driven in [true, false] {
-                let wide = CircuitExperiment::new(ExperimentOptions {
-                    lane_width,
-                    event_driven,
-                    ..ExperimentOptions::fast()
-                })
-                .run(&n);
-                assert_eq!(
-                    wide, reference,
-                    "lane_width {lane_width}, event_driven {event_driven}"
-                );
-            }
-        }
-    }
-
-    /// The facts-skipping observer configuration (`lint_facts_skip`, on by
-    /// default) must reproduce the unskipped rows bit for bit across every
-    /// lane width and both propagation modes — the CI-pinned agreement
-    /// matrix for the `LintFacts` gather skip.
-    #[test]
-    fn lint_facts_skip_produces_identical_rows() {
-        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let defaults = CircuitExperiment::new(ExperimentOptions::fast());
-        assert!(
-            defaults.options().lint_facts_skip,
-            "skipping is the default"
+        let (power, stats) = CircuitExperiment::new(ExperimentOptions::fast())
+            .try_evaluate_scheme_stats(&n, &patterns, &config)
+            .unwrap();
+        let (scalar_power, scalar_stats) = scalar_scheme_stats(&n, &patterns, &config);
+        assert_eq!(stats, scalar_stats);
+        assert_eq!(power.static_uw.to_bits(), scalar_power.static_uw.to_bits());
+        assert_eq!(
+            power.dynamic_per_hz_uw.to_bits(),
+            scalar_power.dynamic_per_hz_uw.to_bits()
         );
-        assert!(
-            defaults.options().lint_preflight,
-            "preflight is the default"
-        );
-        let reference = CircuitExperiment::new(ExperimentOptions {
-            lint_facts_skip: false,
-            ..ExperimentOptions::fast()
-        })
-        .run(&n);
-        for lane_width in [64, 256, 512] {
-            for event_driven in [true, false] {
-                let skipping = CircuitExperiment::new(ExperimentOptions {
-                    lane_width,
-                    event_driven,
-                    ..ExperimentOptions::fast()
-                })
-                .run(&n);
-                assert_eq!(
-                    skipping, reference,
-                    "lane_width {lane_width}, event_driven {event_driven}"
-                );
-            }
-        }
-    }
-
-    /// The facts skip composes with the outer circuit sharding: whole
-    /// Table I reports agree bit for bit between skip on/off at every
-    /// thread count.
-    #[test]
-    fn lint_facts_skip_is_identical_across_thread_counts() {
-        let specs = vec![
-            CircuitFamily::iscas89_like("s344").unwrap(),
-            CircuitFamily::iscas89_like("s382").unwrap(),
-        ];
-        let reference = run_table1(
-            &specs,
-            &ExperimentOptions {
-                threads: 1,
-                lint_facts_skip: false,
-                ..ExperimentOptions::fast()
-            },
-            Some(0.3),
-            1,
-        );
-        for threads in [1, 2] {
-            let skipping = run_table1(
-                &specs,
-                &ExperimentOptions {
-                    threads,
-                    lint_facts_skip: true,
-                    ..ExperimentOptions::fast()
-                },
-                Some(0.3),
-                1,
-            );
-            assert_eq!(skipping, reference, "threads {threads}");
-        }
+        assert!(stats.total_toggles > 0);
     }
 
     /// The lint preflight (on by default) refuses circuits with
@@ -1526,22 +1249,6 @@ mod tests {
         let g = n.add_gate(GateKind::And, &[a, b], "g");
         n.mark_output(g.output);
         let _ = CircuitExperiment::new(ExperimentOptions::fast()).run(&n);
-    }
-
-    /// The lane-width dispatch is a typed error through the fallible path;
-    /// the `unsupported_lane_width_panics` test above pins the wrapper.
-    #[test]
-    fn try_evaluate_scheme_stats_rejects_unsupported_widths() {
-        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let experiment = CircuitExperiment::new(ExperimentOptions {
-            lane_width: 128,
-            ..ExperimentOptions::fast()
-        });
-        let config = traditional_shift_config(&n);
-        let error = experiment
-            .try_evaluate_scheme_stats(&n, &[], &config)
-            .expect_err("128 lanes is not a supported width");
-        assert_eq!(error, ExperimentError::UnsupportedLaneWidth(128));
     }
 
     /// Resource ceilings refuse a circuit deterministically before any
@@ -1824,18 +1531,6 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "unsupported lane_width")]
-    fn unsupported_lane_width_panics() {
-        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let experiment = CircuitExperiment::new(ExperimentOptions {
-            lane_width: 128,
-            ..ExperimentOptions::fast()
-        });
-        let config = traditional_shift_config(&n);
-        let _ = experiment.evaluate_scheme_stats(&n, &[], &config);
-    }
-
     /// Rows served from the result cache are byte-identical to recomputed
     /// ones, and the hit counter proves the replay was actually skipped.
     #[test]
@@ -1865,9 +1560,9 @@ mod tests {
         );
     }
 
-    /// The cache key excludes the bit-identity knobs: a row computed at one
-    /// (thread count, lane width, propagation, lookup) configuration is a
-    /// warm hit at every other.
+    /// The cache key excludes the knobs that cannot change a row: a row
+    /// computed at one (thread count, supervision policy) configuration is
+    /// a warm hit at every other.
     #[test]
     fn result_cache_serves_across_bit_identity_knobs() {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
@@ -1877,19 +1572,18 @@ mod tests {
             ..options
         };
         let seed = CircuitExperiment::new(with_cache(ExperimentOptions::fast())).run(&n);
+        let mut inner_threads = ExperimentOptions::fast();
+        inner_threads.atpg.threads = 2;
+        inner_threads.proposed.threads = 3;
         let variants = [
             ExperimentOptions {
-                lane_width: 512,
-                ..ExperimentOptions::fast()
-            },
-            ExperimentOptions {
-                event_driven: false,
-                scalar_leakage_lookup: true,
-                ..ExperimentOptions::fast()
-            },
-            ExperimentOptions {
                 threads: 3,
-                lint_facts_skip: false,
+                ..ExperimentOptions::fast()
+            },
+            inner_threads,
+            ExperimentOptions {
+                retries: 2,
+                job_deadline_ms: Some(60_000),
                 ..ExperimentOptions::fast()
             },
         ];

@@ -199,8 +199,6 @@ impl ProposedMethod {
             modified_inputs.extend_from_slice(&scan_mode_inputs[pi_count..]);
             let modified_values =
                 modified_evaluator.evaluate(structure.netlist(), &modified_inputs);
-            let modified_estimator = LeakageEstimator::new(structure.netlist(), &self.library);
-            let _ = &modified_estimator; // estimator built for parity with reports
             Some(reorder::optimize(
                 structure.netlist_mut(),
                 &self.library,

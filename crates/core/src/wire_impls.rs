@@ -96,9 +96,9 @@ impl Wire for ProposedOptions {
     }
 }
 
-/// Every knob is encoded, in declaration order — including the pure
-/// bit-identity knobs (`threads`, `lane_width`, …) that the result cache
-/// deliberately *excludes* from its key (see
+/// Every knob is encoded, in declaration order — including the knobs
+/// (`threads`, `retries`, …) that the result cache deliberately *excludes*
+/// from its key (see
 /// [`semantic_options_bytes`](crate::experiment::semantic_options_bytes)).
 /// The [`result_cache`](ExperimentOptions::result_cache) handle is runtime
 /// state, not configuration: it is skipped on encode and comes back
@@ -109,12 +109,7 @@ impl Wire for ExperimentOptions {
         self.max_patterns.encode_into(writer);
         self.proposed.encode_into(writer);
         self.threads.encode_into(writer);
-        self.packed_replay.encode_into(writer);
-        self.lane_width.encode_into(writer);
-        self.event_driven.encode_into(writer);
-        self.scalar_leakage_lookup.encode_into(writer);
         self.lint_preflight.encode_into(writer);
-        self.lint_facts_skip.encode_into(writer);
         self.limits.encode_into(writer);
         self.retries.encode_into(writer);
         self.job_deadline_ms.encode_into(writer);
@@ -125,12 +120,7 @@ impl Wire for ExperimentOptions {
             max_patterns: Option::decode_from(reader)?,
             proposed: ProposedOptions::decode_from(reader)?,
             threads: usize::decode_from(reader)?,
-            packed_replay: bool::decode_from(reader)?,
-            lane_width: usize::decode_from(reader)?,
-            event_driven: bool::decode_from(reader)?,
-            scalar_leakage_lookup: bool::decode_from(reader)?,
             lint_preflight: bool::decode_from(reader)?,
-            lint_facts_skip: bool::decode_from(reader)?,
             limits: ResourceLimits::decode_from(reader)?,
             retries: u32::decode_from(reader)?,
             job_deadline_ms: Option::decode_from(reader)?,
@@ -190,12 +180,7 @@ mod tests {
         let options = ExperimentOptions {
             max_patterns: Some(17),
             threads: 5,
-            packed_replay: false,
-            lane_width: 512,
-            event_driven: false,
-            scalar_leakage_lookup: true,
             lint_preflight: false,
-            lint_facts_skip: false,
             limits: ResourceLimits {
                 max_gates: Some(1000),
                 max_replayed_patterns: Some(64),

@@ -103,9 +103,9 @@ impl LeakageLibrary {
 /// Which per-gate lookup the packed 64-lane leakage paths use.
 ///
 /// Both modes are **bit-identical** — the lane-parallel tables are filled
-/// by the scalar lookup itself — so the scalar mode exists purely as a
-/// cross-check against the precompute (and as the measuring stick in the
-/// `scan_shift` leakage-lookup bench).
+/// by the scalar lookup itself — so the scalar mode exists purely as the
+/// reference the tests compare the precompute against (and as the
+/// measuring stick in the `scan_shift` leakage-lookup bench).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LeakageLookup {
     /// Precompute per-gate ternary tables at build time and look every
@@ -125,7 +125,7 @@ pub enum LeakageLookup {
 /// inputs are averaged over.
 ///
 /// For the packed lane-parallel paths ([`circuit_leakage_lanes`], 64 lanes
-/// with [`PackedWord`] or 256/512 with the wide words) the estimator
+/// with [`PackedWord`]) the estimator
 /// additionally precomputes **ternary tables**: one entry per 2-bit-per-pin
 /// encoded input state (`00` = 0, `01` = 1, high bit set = X), holding the
 /// already-X-averaged leakage. Every entry is filled by the scalar
@@ -165,7 +165,7 @@ impl LeakageEstimator {
 
     /// Builds the estimator with an explicit packed-path lookup mode
     /// ([`LeakageLookup::Scalar`] skips the ternary precompute entirely —
-    /// the cross-check configuration).
+    /// the reference the tests compare the lane-parallel gather against).
     #[must_use]
     pub fn with_lookup(
         netlist: &Netlist,
@@ -228,7 +228,7 @@ impl LeakageEstimator {
     /// first `lanes` circuit states of a packed simulation result (one
     /// packed word per net, as produced by
     /// [`SimKernel`](scanpower_sim::SimKernel)`::<W>::evaluate` — 64 lanes
-    /// with [`PackedWord`], 256/512 with the wide words).
+    /// with [`PackedWord`]).
     ///
     /// One topological simulation pass feeds up to `W::LANES` leakage
     /// evaluations — this is the lane-parallel path behind the Monte-Carlo
@@ -1117,77 +1117,6 @@ mod tests {
         }
     }
 
-    /// The wide (256/512-lane) observer must reproduce the scalar replay's
-    /// static-power average **bit for bit**, under both propagation modes
-    /// and both lookup modes, across a 256-lane block boundary — the wide
-    /// rung of the bit-identity ladder at the power level.
-    #[test]
-    fn wide_shift_leakage_matches_scalar_observer_bitwise() {
-        use scanpower_sim::patterns::random_bool_patterns;
-        use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig};
-        use scanpower_sim::{PackedScanShiftSim, Propagation, Wide256, Wide512};
-
-        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let library = LeakageLibrary::cmos45();
-        let pi = n.primary_inputs().len();
-        let ff = n.dff_count();
-        // 300 patterns: one full 256-lane block plus a 44-lane tail, so the
-        // wide cross-block carry is in play; also a partial 512-lane block.
-        let patterns: Vec<ScanPattern> = random_bool_patterns(pi + ff, 300, 29)
-            .into_iter()
-            .map(|bits| ScanPattern::from_bools(&bits[..pi], &bits[pi..]))
-            .collect();
-        let config = ShiftConfig::traditional(ff);
-
-        for lookup in [LeakageLookup::LaneParallel, LeakageLookup::Scalar] {
-            let estimator = LeakageEstimator::with_lookup(&n, &library, lookup);
-            let mut scalar_average = LeakageAverage::new();
-            ScanShiftSim::new(&n).run_with_observer(&n, &patterns, &config, |phase, values| {
-                if phase == ShiftPhase::Shift {
-                    scalar_average.add(estimator.circuit_leakage(&n, values));
-                }
-            });
-
-            let sim = PackedScanShiftSim::new(&n);
-            for propagation in [Propagation::EventDriven, Propagation::FullSweep] {
-                let mut wide256 = PackedShiftLeakage::<Wide256>::new(&n, &estimator);
-                let _ = sim.run_cycles_wide::<Wide256, _>(
-                    &n,
-                    &patterns,
-                    &config,
-                    propagation,
-                    |cycle| {
-                        wide256.observe_cycle(cycle);
-                    },
-                );
-                let wide256 = wide256.into_average();
-                assert_eq!(wide256.samples(), scalar_average.samples());
-                assert_eq!(
-                    wide256.average_na().to_bits(),
-                    scalar_average.average_na().to_bits(),
-                    "{propagation:?} / {lookup:?}: 256-lane average must be bit-identical"
-                );
-
-                let mut wide512 = PackedShiftLeakage::<Wide512>::new(&n, &estimator);
-                let _ = sim.run_cycles_wide::<Wide512, _>(
-                    &n,
-                    &patterns,
-                    &config,
-                    propagation,
-                    |cycle| {
-                        wide512.observe_cycle(cycle);
-                    },
-                );
-                let wide512 = wide512.into_average();
-                assert_eq!(
-                    wide512.average_na().to_bits(),
-                    scalar_average.average_na().to_bits(),
-                    "{propagation:?} / {lookup:?}: 512-lane average must be bit-identical"
-                );
-            }
-        }
-    }
-
     /// The lint-facts pin limit must match the leakage model's actual pin
     /// cap (the 31-slot pin buffer of `gate_leakage_lanes_into` and the
     /// `gate_table` fanin assert); the constant is mirrored, not imported,
@@ -1199,20 +1128,20 @@ mod tests {
 
     /// A facts-carrying observer must reproduce the plain observer (and the
     /// scalar replay) **bit for bit** while actually skipping gates — on a
-    /// low-activity configuration, across 64/256/512 lanes, both propagation
-    /// modes and both lookup modes.
+    /// low-activity configuration, across full and partial blocks, both
+    /// propagation modes and both lookup modes.
     #[test]
     fn facts_skipping_observer_matches_scalar_observer_bitwise() {
         use scanpower_lint::LintFacts;
         use scanpower_sim::patterns::random_bool_patterns;
         use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig};
-        use scanpower_sim::{PackedScanShiftSim, Propagation, Wide256, Wide512};
+        use scanpower_sim::{PackedScanShiftSim, Propagation};
 
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let library = LeakageLibrary::cmos45();
         let pi = n.primary_inputs().len();
         let ff = n.dff_count();
-        // 300 patterns: full and partial blocks at every lane width.
+        // 300 patterns: four full 64-lane blocks and a partial one.
         let patterns: Vec<ScanPattern> = random_bool_patterns(pi + ff, 300, 41)
             .into_iter()
             .map(|bits| ScanPattern::from_bools(&bits[..pi], &bits[pi..]))
@@ -1251,38 +1180,6 @@ mod tests {
                     packed.average_na().to_bits(),
                     scalar_average.average_na().to_bits(),
                     "{propagation:?} / {lookup:?}: facts-skipping 64-lane average"
-                );
-
-                let mut wide256 = PackedShiftLeakage::<Wide256>::with_facts(&n, &estimator, &facts);
-                let _ = sim.run_cycles_wide::<Wide256, _>(
-                    &n,
-                    &patterns,
-                    &config,
-                    propagation,
-                    |cycle| {
-                        wide256.observe_cycle(cycle);
-                    },
-                );
-                assert_eq!(
-                    wide256.into_average().average_na().to_bits(),
-                    scalar_average.average_na().to_bits(),
-                    "{propagation:?} / {lookup:?}: facts-skipping 256-lane average"
-                );
-
-                let mut wide512 = PackedShiftLeakage::<Wide512>::with_facts(&n, &estimator, &facts);
-                let _ = sim.run_cycles_wide::<Wide512, _>(
-                    &n,
-                    &patterns,
-                    &config,
-                    propagation,
-                    |cycle| {
-                        wide512.observe_cycle(cycle);
-                    },
-                );
-                assert_eq!(
-                    wide512.into_average().average_na().to_bits(),
-                    scalar_average.average_na().to_bits(),
-                    "{propagation:?} / {lookup:?}: facts-skipping 512-lane average"
                 );
             }
         }
@@ -1325,51 +1222,6 @@ mod tests {
             plain.into_average().average_na().to_bits(),
             with_facts.into_average().average_na().to_bits()
         );
-    }
-
-    /// The wide lane gather (`circuit_leakage_lanes::<Wide256>`) must equal
-    /// the scalar per-lane evaluation to the bit on lanes past the first
-    /// plane word.
-    #[test]
-    fn wide_lane_leakage_matches_scalar_bitwise() {
-        use scanpower_sim::{LogicWord, SimKernel, Wide256};
-
-        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let library = LeakageLibrary::cmos45();
-        let estimator = LeakageEstimator::new(&n, &library);
-        let ev = Evaluator::new(&n);
-        let width = ev.inputs().len();
-
-        // 200 ternary patterns in one wide block: lanes 64.. live in the
-        // second and third plane words.
-        let patterns: Vec<Vec<Logic>> = (0..200usize)
-            .map(|index| {
-                (0..width)
-                    .map(|bit| match (index + 5 * bit) % 4 {
-                        0 => Logic::Zero,
-                        1 | 3 => Logic::One,
-                        _ => Logic::X,
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut inputs = vec![Wide256::splat(Logic::X); width];
-        for (lane, pattern) in patterns.iter().enumerate() {
-            for (word, &value) in inputs.iter_mut().zip(pattern) {
-                word.set_lane(lane, value);
-            }
-        }
-        let mut kernel = SimKernel::<Wide256>::new(&n);
-        let values = kernel.evaluate(&n, &inputs).to_vec();
-        let lanes = estimator.circuit_leakage_lanes(&n, &values, patterns.len());
-        for (lane, pattern) in patterns.iter().enumerate() {
-            let scalar = estimator.circuit_leakage(&n, &ev.evaluate(&n, pattern));
-            assert_eq!(
-                lanes[lane].to_bits(),
-                scalar.to_bits(),
-                "lane {lane}: wide gather must be bit-identical"
-            );
-        }
     }
 
     /// Randomized agreement sweep for the lane-parallel lookup: every

@@ -94,9 +94,9 @@ impl Wire for CircuitSource {
 
 /// A complete job submission: the circuits to run and the experiment
 /// options. Only the *semantic* options matter for the result bytes — the
-/// server overrides `result_cache` with its own shared cache, and
-/// bit-identity knobs (`threads`, `lane_width`, …) are free to differ
-/// between submissions without changing the returned rows.
+/// server overrides `result_cache` with its own shared cache, and the
+/// thread and supervision knobs (`threads`, `retries`, …) are free to
+/// differ between submissions without changing the returned rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// The circuits, one result row each, delivered in this order.

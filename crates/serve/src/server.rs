@@ -272,6 +272,12 @@ impl ServerInner {
                 message: "empty job: a submission needs at least one circuit".into(),
             };
         }
+        // Refuse a full queue before resolving: generation, snapshot decode
+        // and validation all grow with the submission, and a refusal must
+        // not pay for them. Admission re-checks under the lock below.
+        if let Some(busy) = self.busy(&self.queue.lock().expect("queue lock")) {
+            return busy;
+        }
         let netlists = match resolve_circuits(&spec.circuits) {
             Ok(netlists) => netlists,
             Err(message) => return Response::Error { message },
@@ -300,17 +306,22 @@ impl ServerInner {
         // Admission and the capacity check happen under the queue lock so
         // two racing submissions cannot both squeeze past the bound.
         let mut queue = self.queue.lock().expect("queue lock");
-        if queue.len() >= self.config.queue_capacity {
-            return Response::Busy {
-                queued: queue.len(),
-                capacity: self.config.queue_capacity,
-            };
+        if let Some(busy) = self.busy(&queue) {
+            return busy;
         }
         self.jobs.lock().expect("jobs lock").insert(id, entry);
         queue.push_back(id);
         drop(queue);
         self.queue_signal.notify_one();
         Response::JobAccepted { job: id }
+    }
+
+    /// The typed refusal for a queue at capacity, `None` while there is room.
+    fn busy(&self, queue: &VecDeque<JobId>) -> Option<Response> {
+        (queue.len() >= self.config.queue_capacity).then_some(Response::Busy {
+            queued: queue.len(),
+            capacity: self.config.queue_capacity,
+        })
     }
 
     fn poll(&self, id: JobId) -> Response {
@@ -487,6 +498,47 @@ mod tests {
                 capacity: 1
             }
         );
+    }
+
+    /// A full queue refuses before it resolves the circuits: a corrupt
+    /// snapshot that would be an `Error` on an idle server is a `Busy` here,
+    /// because the decode never runs.
+    #[test]
+    fn full_queue_refuses_before_resolving_circuits() {
+        let server = Server::new(ServeConfig {
+            queue_capacity: 1,
+            workers: 0,
+            default_deadline_ms: None,
+        });
+        let filler = JobSpec {
+            circuits: vec![family("s27")],
+            options: ExperimentOptions::fast(),
+        };
+        assert!(matches!(
+            server.inner.handle(Request::SubmitJob(Box::new(filler))),
+            Response::JobAccepted { job: 1 }
+        ));
+        let corrupt = JobSpec {
+            circuits: vec![CircuitSource::Snapshot {
+                bytes: vec![0xde, 0xad, 0xbe, 0xef],
+            }],
+            options: ExperimentOptions::fast(),
+        };
+        assert_eq!(
+            server
+                .inner
+                .handle(Request::SubmitJob(Box::new(corrupt.clone()))),
+            Response::Busy {
+                queued: 1,
+                capacity: 1
+            }
+        );
+        // With room in the queue the same submission is a typed error.
+        assert!(server.run_pending_job());
+        assert!(matches!(
+            server.inner.handle(Request::SubmitJob(Box::new(corrupt))),
+            Response::Error { .. }
+        ));
     }
 
     #[test]

@@ -327,10 +327,9 @@ impl LogicWord for PackedWord {
 /// ([`PackedScanShiftSim`](crate::PackedScanShiftSim)) and the lane-parallel
 /// leakage paths are generic over.
 ///
-/// Implemented by [`PackedWord`] (one 64-lane plane pair per polarity) and
-/// [`WideWord`] (`N` plane pairs, `N × 64` lanes). Everything that only
-/// needs Kleene connectives stays generic over plain [`LogicWord`]; this
-/// subtrait adds the operations that peek *inside* the word: per-lane
+/// Implemented by [`PackedWord`] (one 64-lane plane pair per polarity).
+/// Everything that only needs Kleene connectives stays generic over plain
+/// [`LogicWord`]; this subtrait adds the operations that peek *inside* the word: per-lane
 /// access, the cross-word lane shift and the masked difference popcount.
 pub trait PackedLogicWord: LogicWord + Eq {
     /// Number of 64-lane bit-plane words per polarity
@@ -417,165 +416,6 @@ impl PackedLogicWord for PackedWord {
 
     fn count_differs(self, other: PackedWord, lanes: usize) -> u32 {
         (self.differs(other) & PackedWord::lane_mask(lanes)).count_ones()
-    }
-}
-
-/// `N × 64` three-valued circuit states packed into `2 N` machine words —
-/// the multi-word widening of [`PackedWord`].
-///
-/// The encoding is the same possibility pair, one `[u64; N]` plane per
-/// polarity: bit `k` of `can0[i]` is set when lane `64 i + k` may be 0.
-/// Every Kleene connective is the [`PackedWord`] bit trick applied per
-/// plane word, so one topological pass evaluates `N × 64` circuit states;
-/// the per-lane operations ([`shifted_lanes`](PackedLogicWord::shifted_lanes),
-/// [`count_differs`](PackedLogicWord::count_differs)) carry across the word
-/// boundary. `N = 4` ([`Wide256`]) and `N = 8` ([`Wide512`]) are the widths
-/// the experiment harness exposes as `lane_width`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WideWord<const N: usize> {
-    can0: [u64; N],
-    can1: [u64; N],
-}
-
-/// A 256-lane [`WideWord`] (4 plane words per polarity).
-pub type Wide256 = WideWord<4>;
-
-/// A 512-lane [`WideWord`] (8 plane words per polarity).
-pub type Wide512 = WideWord<8>;
-
-impl<const N: usize> LogicWord for WideWord<N> {
-    const LANES: usize = N * 64;
-
-    fn splat(value: Logic) -> WideWord<N> {
-        let (can0, can1) = match value {
-            Logic::Zero => (u64::MAX, 0),
-            Logic::One => (0, u64::MAX),
-            Logic::X => (u64::MAX, u64::MAX),
-        };
-        WideWord {
-            can0: [can0; N],
-            can1: [can1; N],
-        }
-    }
-
-    fn not(self) -> WideWord<N> {
-        WideWord {
-            can0: self.can1,
-            can1: self.can0,
-        }
-    }
-
-    fn and(mut self, other: WideWord<N>) -> WideWord<N> {
-        for i in 0..N {
-            self.can0[i] |= other.can0[i];
-            self.can1[i] &= other.can1[i];
-        }
-        self
-    }
-
-    fn or(mut self, other: WideWord<N>) -> WideWord<N> {
-        for i in 0..N {
-            self.can0[i] &= other.can0[i];
-            self.can1[i] |= other.can1[i];
-        }
-        self
-    }
-
-    fn xor(mut self, other: WideWord<N>) -> WideWord<N> {
-        for i in 0..N {
-            let known = !(self.can0[i] & self.can1[i]) & !(other.can0[i] & other.can1[i]);
-            let value = self.can1[i] ^ other.can1[i]; // valid on known lanes only
-            self.can0[i] = (known & !value) | !known;
-            self.can1[i] = (known & value) | !known;
-        }
-        self
-    }
-
-    fn mux(select: WideWord<N>, when0: WideWord<N>, when1: WideWord<N>) -> WideWord<N> {
-        let mut out = select;
-        for i in 0..N {
-            out.can0[i] = (select.can0[i] & when0.can0[i]) | (select.can1[i] & when1.can0[i]);
-            out.can1[i] = (select.can0[i] & when0.can1[i]) | (select.can1[i] & when1.can1[i]);
-        }
-        out
-    }
-}
-
-impl<const N: usize> PackedLogicWord for WideWord<N> {
-    const PLANE_WORDS: usize = N;
-
-    fn from_lanes(lanes: &[Logic]) -> WideWord<N> {
-        assert!(
-            lanes.len() <= Self::LANES,
-            "more lanes than the word carries"
-        );
-        let mut word = WideWord::splat(Logic::X);
-        for (lane, &value) in lanes.iter().enumerate() {
-            word.set_lane(lane, value);
-        }
-        word
-    }
-
-    fn lane(self, lane: usize) -> Logic {
-        assert!(lane < Self::LANES, "lane out of range");
-        let word = lane / 64;
-        let bit = 1u64 << (lane % 64);
-        match (self.can0[word] & bit != 0, self.can1[word] & bit != 0) {
-            (true, false) => Logic::Zero,
-            (false, true) => Logic::One,
-            _ => Logic::X,
-        }
-    }
-
-    fn set_lane(&mut self, lane: usize, value: Logic) {
-        assert!(lane < Self::LANES, "lane out of range");
-        let word = lane / 64;
-        let bit = 1u64 << (lane % 64);
-        let (can0, can1) = match value {
-            Logic::Zero => (bit, 0),
-            Logic::One => (0, bit),
-            Logic::X => (bit, bit),
-        };
-        self.can0[word] = (self.can0[word] & !bit) | can0;
-        self.can1[word] = (self.can1[word] & !bit) | can1;
-    }
-
-    fn plane_word(self, word: usize) -> (u64, u64) {
-        (self.can0[word], self.can1[word])
-    }
-
-    fn shifted_lanes(self, lane0: Logic) -> WideWord<N> {
-        let (mut carry0, mut carry1) = match lane0 {
-            Logic::Zero => (1, 0),
-            Logic::One => (0, 1),
-            Logic::X => (1, 1),
-        };
-        let mut out = self;
-        for i in 0..N {
-            let next0 = self.can0[i] >> 63;
-            let next1 = self.can1[i] >> 63;
-            out.can0[i] = (self.can0[i] << 1) | carry0;
-            out.can1[i] = (self.can1[i] << 1) | carry1;
-            carry0 = next0;
-            carry1 = next1;
-        }
-        out
-    }
-
-    fn count_differs(self, other: WideWord<N>, lanes: usize) -> u32 {
-        assert!(lanes <= Self::LANES, "more lanes than the word carries");
-        let mut count = 0;
-        let mut remaining = lanes;
-        for i in 0..N {
-            if remaining == 0 {
-                break;
-            }
-            let take = remaining.min(64);
-            let diff = (self.can0[i] ^ other.can0[i]) | (self.can1[i] ^ other.can1[i]);
-            count += (diff & PackedWord::lane_mask(take)).count_ones();
-            remaining -= take;
-        }
-        count
     }
 }
 
@@ -686,9 +526,9 @@ pub const STATE_INDEX_MAX_PINS: usize = 32 / STATE_INDEX_BITS_PER_PIN;
 /// entries at and beyond `lanes` keep whatever the (reused) buffer held.
 ///
 /// This is the gather behind the lane-parallel leakage table lookup,
-/// generic over the word width: a [`WideWord`] is transposed plane word by
-/// plane word ([`lane_state_indices_word`]), so the cost stays one pass
-/// over the set plane bits at any lane count. Consumers that process lanes
+/// generic over the word width: a multi-word lane type is transposed plane
+/// word by plane word ([`lane_state_indices_word`]), so the cost stays one
+/// pass over the set plane bits at any lane count. Consumers that process lanes
 /// in ≤64-lane chunks (to keep a stack-sized index buffer) can call the
 /// per-word primitive directly instead of allocating a full-width slice.
 ///
@@ -720,8 +560,7 @@ pub fn lane_state_indices<W: PackedLogicWord>(pins: &[W], lanes: usize, indices:
 /// `lanes` lanes of plane word `word` (circuit states `64·word ..`) into
 /// `indices[..lanes]` — the shared shift-and-clear transpose
 /// (`trailing_zeros` + `m & (m - 1)`) both the full-width gather and the
-/// chunked leakage lookup run, so no second copy of the transpose exists at
-/// wide widths.
+/// chunked leakage lookup run, so no second copy of the transpose exists.
 ///
 /// # Panics
 ///
@@ -1349,104 +1188,6 @@ mod tests {
         lane_state_indices(&pins, 0, &mut indices);
     }
 
-    /// A deterministic 0/1/X value for `(lane, salt)` — shared by the wide
-    /// agreement tests below.
-    fn mixed_logic(lane: usize, salt: usize) -> Logic {
-        match (lane * 7 + salt * 13) % 5 {
-            0 | 3 => Logic::Zero,
-            1 | 4 => Logic::One,
-            _ => Logic::X,
-        }
-    }
-
-    /// Every wide connective must agree with the scalar connective on every
-    /// lane, including the lanes past the first plane word.
-    #[test]
-    fn wide_connectives_match_scalar_on_every_lane() {
-        let mut a = Wide256::splat(Logic::X);
-        let mut b = Wide256::splat(Logic::X);
-        let mut s = Wide256::splat(Logic::X);
-        for lane in 0..Wide256::LANES {
-            a.set_lane(lane, mixed_logic(lane, 1));
-            b.set_lane(lane, mixed_logic(lane, 2));
-            s.set_lane(lane, mixed_logic(lane, 3));
-        }
-        for lane in 0..Wide256::LANES {
-            let (va, vb, vs) = (a.lane(lane), b.lane(lane), s.lane(lane));
-            assert_eq!(a.not().lane(lane), va.not(), "lane {lane}: NOT");
-            assert_eq!(
-                LogicWord::and(a, b).lane(lane),
-                va.and(vb),
-                "lane {lane}: AND"
-            );
-            assert_eq!(LogicWord::or(a, b).lane(lane), va.or(vb), "lane {lane}: OR");
-            assert_eq!(
-                LogicWord::xor(a, b).lane(lane),
-                va.xor(vb),
-                "lane {lane}: XOR"
-            );
-            assert_eq!(
-                Wide256::mux(s, a, b).lane(lane),
-                Logic::mux(vs, va, vb),
-                "lane {lane}: MUX"
-            );
-        }
-    }
-
-    /// `shifted_lanes` must carry bit 63 of every plane word into bit 0 of
-    /// the next — lane 64 must receive lane 63's value, not a hole.
-    #[test]
-    fn wide_shifted_lanes_carries_across_plane_words() {
-        let mut word = Wide256::splat(Logic::X);
-        for lane in 0..Wide256::LANES {
-            word.set_lane(lane, mixed_logic(lane, 4));
-        }
-        for lane0 in all_logic() {
-            let shifted = word.shifted_lanes(lane0);
-            assert_eq!(shifted.lane(0), lane0);
-            for lane in 1..Wide256::LANES {
-                assert_eq!(
-                    shifted.lane(lane),
-                    word.lane(lane - 1),
-                    "lane {lane} must receive lane {}",
-                    lane - 1
-                );
-            }
-        }
-        // The boundary case in isolation: only lane 63 set, must land on 64.
-        let mut boundary = Wide256::splat(Logic::Zero);
-        boundary.set_lane(63, Logic::One);
-        let shifted = boundary.shifted_lanes(Logic::X);
-        assert_eq!(shifted.lane(64), Logic::One);
-        assert_eq!(shifted.lane(63), Logic::Zero);
-        // The last lane falls off the end.
-        let mut top = Wide256::splat(Logic::Zero);
-        top.set_lane(Wide256::LANES - 1, Logic::One);
-        assert_eq!(
-            top.shifted_lanes(Logic::Zero).lane(Wide256::LANES - 1),
-            Logic::Zero
-        );
-    }
-
-    /// `count_differs` must equal the scalar per-lane inequality count for
-    /// lane counts below, at and beyond the plane-word boundary.
-    #[test]
-    fn wide_count_differs_sums_across_plane_words() {
-        let mut a = Wide512::splat(Logic::X);
-        let mut b = Wide512::splat(Logic::X);
-        for lane in 0..Wide512::LANES {
-            a.set_lane(lane, mixed_logic(lane, 5));
-            b.set_lane(lane, mixed_logic(lane, 6));
-        }
-        for lanes in [0usize, 1, 37, 64, 65, 128, 200, 511, 512] {
-            let expected = (0..lanes)
-                .filter(|&lane| a.lane(lane) != b.lane(lane))
-                .count() as u32;
-            assert_eq!(a.count_differs(b, lanes), expected, "lanes {lanes}");
-            assert_eq!(a.count_differs(a, lanes), 0, "lanes {lanes}: self");
-        }
-    }
-
     /// `PackedWord`'s trait implementation must match its inherent methods
     /// (the 64-lane consumers keep calling the inherent ones).
     #[test]
@@ -1470,77 +1211,6 @@ mod tests {
             (word.differs(other) & PackedWord::lane_mask(18)).count_ones()
         );
         assert_eq!(PackedWord::PLANE_WORDS, 1);
-        assert_eq!(Wide256::PLANE_WORDS, 4);
-        assert_eq!(Wide256::LANES, 256);
-        assert_eq!(Wide512::LANES, 512);
-    }
-
-    /// The wide bit-plane transpose must produce, for every lane in every
-    /// plane word, the 2-bit-per-pin code the scalar decode implies.
-    #[test]
-    fn wide_lane_state_indices_matches_scalar_lane_decode() {
-        let mut pins = [Wide256::splat(Logic::X); 3];
-        for lane in 0..Wide256::LANES {
-            for (pin, word) in pins.iter_mut().enumerate() {
-                word.set_lane(lane, mixed_logic(lane, pin));
-            }
-        }
-        for lanes in [0usize, 1, 63, 64, 65, 130, 256] {
-            let mut indices = vec![u32::MAX; Wide256::LANES];
-            lane_state_indices(&pins, lanes, &mut indices);
-            for (lane, &index) in indices.iter().enumerate() {
-                if lane >= lanes {
-                    assert_eq!(
-                        index,
-                        u32::MAX,
-                        "lane {lane} beyond {lanes} must be untouched"
-                    );
-                    continue;
-                }
-                let mut expected = 0u32;
-                for (pin, word) in pins.iter().enumerate() {
-                    expected |= match word.lane(lane) {
-                        Logic::Zero => 0b00,
-                        Logic::One => 0b01,
-                        Logic::X => 0b11,
-                    } << (2 * pin);
-                }
-                assert_eq!(index, expected, "lanes {lanes}, lane {lane}");
-            }
-        }
-    }
-
-    /// The wide kernel must settle every lane to the scalar kernel's value —
-    /// `SimKernel` is generic over `LogicWord`, so this pins the whole
-    /// evaluation path at 256 lanes.
-    #[test]
-    fn wide_kernel_matches_scalar_kernel_on_s27() {
-        let netlist = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let mut scalar = SimKernel::<Logic>::new(&netlist);
-        let mut wide = SimKernel::<Wide256>::new(&netlist);
-        let width = scalar.inputs().len();
-
-        let patterns: Vec<Vec<Logic>> = (0..Wide256::LANES)
-            .map(|index| (0..width).map(|bit| mixed_logic(index, bit)).collect())
-            .collect();
-        let mut inputs = vec![Wide256::splat(Logic::X); width];
-        for (lane, pattern) in patterns.iter().enumerate() {
-            for (word, &value) in inputs.iter_mut().zip(pattern) {
-                word.set_lane(lane, value);
-            }
-        }
-        let wide_values = wide.evaluate(&netlist, &inputs).to_vec();
-        for (lane, pattern) in patterns.iter().enumerate() {
-            let scalar_values = scalar.evaluate(&netlist, pattern);
-            for net in netlist.net_ids() {
-                assert_eq!(
-                    wide_values[net.index()].lane(lane),
-                    scalar_values[net.index()],
-                    "net {} lane {lane}",
-                    netlist.net(net).name
-                );
-            }
-        }
     }
 
     #[test]

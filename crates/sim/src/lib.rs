@@ -7,10 +7,9 @@
 //!
 //! * [`kernel`] — the [`SimKernel`]: cached topological order, input
 //!   mapping and per-net buffers, generic over [`LogicWord`] — one circuit
-//!   state per pass ([`Logic`]), sixty-four ([`PackedWord`], a two-word
-//!   three-valued bit-parallel encoding), or 256/512 ([`WideWord`], the
-//!   multi-word widening with [`Wide256`]/[`Wide512`] aliases; the
-//!   [`PackedLogicWord`] trait is the shared lane-introspection surface).
+//!   state per pass ([`Logic`]) or sixty-four ([`PackedWord`], a two-word
+//!   three-valued bit-parallel encoding; the [`PackedLogicWord`] trait is
+//!   the lane-introspection surface the packed consumers are generic over).
 //!   This module contains the single gate-evaluation implementation of the
 //!   workspace.
 //! * [`Logic`] — three-valued (0/1/X) logic with Kleene semantics.
@@ -23,20 +22,17 @@
 //!   per-net transition counts and per-cycle state observation.
 //! * [`scan_packed`] — the packed multi-pattern scan-shift replay
 //!   ([`scan_packed::PackedScanShiftSim`]): one kernel pass per shift cycle
-//!   evaluates a whole block of patterns' circuit states at once — 64 by
-//!   default, 256/512 through the generic
-//!   [`run_cycles_wide`](scan_packed::PackedScanShiftSim::run_cycles_wide)
-//!   engine — with popcount-based transition counting and a lane-aware
-//!   observer; event-driven by default ([`scan_packed::Propagation`]),
-//!   re-evaluating only the fanout cones of the nets each cycle actually
-//!   changed; bit-identical [`scan::ShiftStats`] to the scalar replay in
-//!   either mode and at every lane width.
+//!   evaluates a block of 64 patterns' circuit states at once, with
+//!   popcount-based transition counting and a lane-aware observer;
+//!   event-driven by default ([`scan_packed::Propagation`]), re-evaluating
+//!   only the fanout cones of the nets each cycle actually changed;
+//!   bit-identical [`scan::ShiftStats`] to the scalar replay in either
+//!   mode.
 //! * [`fault`] — 64-pattern-per-pass stuck-at fault simulation used by the
 //!   ATPG substitute.
 //! * [`parallel`] — the [`BlockDriver`]: deterministic sharding of
-//!   independent ≤64-lane blocks across threads (scoped threads by default,
-//!   rayon behind the `parallel-rayon` feature, sequential fallback at one
-//!   thread), with results merged in block order so every reduction is
+//!   independent ≤64-lane blocks across scoped threads (sequential fallback
+//!   at one thread), with results merged in block order so every reduction is
 //!   bit-identical to the sequential loop. Panicking jobs are isolated
 //!   per job; [`BlockDriver::map_supervised`] adds typed per-job failures,
 //!   a bounded retry budget and cooperative cancellation ([`CancelFlag`]).
@@ -92,9 +88,7 @@ mod wire_impls;
 
 pub use eval::Evaluator;
 pub use incremental::IncrementalSim;
-pub use kernel::{
-    DirtyWorklist, LogicWord, PackedLogicWord, PackedWord, SimKernel, Wide256, Wide512, WideWord,
-};
+pub use kernel::{DirtyWorklist, LogicWord, PackedLogicWord, PackedWord, SimKernel};
 pub use logic::Logic;
 pub use parallel::{
     BlockDriver, CancelFlag, Canceled, JobContext, JobError, JobFailure, JobPolicy,

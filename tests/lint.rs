@@ -2,7 +2,6 @@
 //! codes, the Table I circuit family is lint-clean, and the lint preflight
 //! and LintFacts gate-skipping compose with the experiment flow.
 
-use scanpower_suite::core::experiment::{CircuitExperiment, ExperimentOptions};
 use scanpower_suite::lint::{lint_bench, lint_netlist, LintCode, Severity, LEAKAGE_PIN_LIMIT};
 use scanpower_suite::netlist::bench;
 use scanpower_suite::netlist::generator::{CircuitFamily, TABLE1_CIRCUITS};
@@ -132,19 +131,4 @@ fn table1_circuits_are_lint_clean() {
             report.to_text()
         );
     }
-}
-
-/// End-to-end: the whole experiment row (three scan schemes, dynamic and
-/// static power) is bit-identical with the LintFacts gate-skipping on and
-/// off.
-#[test]
-fn experiment_rows_agree_with_and_without_facts_skipping() {
-    let circuit = bench::parse(bench::S27_BENCH, "s27").unwrap();
-    let skipping = CircuitExperiment::new(ExperimentOptions::fast()).run(&circuit);
-    let reference = CircuitExperiment::new(ExperimentOptions {
-        lint_facts_skip: false,
-        ..ExperimentOptions::fast()
-    })
-    .run(&circuit);
-    assert_eq!(skipping, reference);
 }

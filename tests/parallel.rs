@@ -7,8 +7,6 @@
 //! output. These tests drive the whole stack through the umbrella crate:
 //! the raw driver (partial final blocks, X propagation), the ATPG random
 //! phase, the IVC Monte-Carlo, and the sampled observability forward pass.
-//! They run under both driver backends; CI exercises the feature matrix
-//! (`parallel-rayon` off and on).
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

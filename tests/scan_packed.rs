@@ -1,25 +1,39 @@
-//! Suite-level agreement of the packed 64-pattern scan-shift replay and the
-//! multi-circuit Table I sharding with the scalar sequential path.
+//! Suite-level agreement of the production scan-shift replay with every
+//! reference path, and of the multi-circuit Table I sharding across thread
+//! counts.
 //!
-//! The acceptance bar of the packed replay is **bit-identity**: every
-//! `ShiftStats` counter is an integer and the static-power average is
+//! The production replay is one engine: the packed 64-pattern kernel,
+//! event-driven propagation, the lane-parallel leakage lookup and the
+//! `LintFacts` static-gate skip. The references — the scalar
+//! pattern-at-a-time replay, full-sweep propagation, the scalar leakage
+//! lookup and the unskipped observer — live in the sim and power crates
+//! and are composed here directly. The acceptance bar is **bit-identity**:
+//! every `ShiftStats` counter is an integer and the static-power average is
 //! accumulated in the exact scalar order, so the tests assert plain
-//! equality — on real ATPG pattern sets, on ternary (X-carrying) pattern
-//! sets with partial final blocks, under forced pseudo-inputs, PI control
-//! values and `count_capture`, and for the whole `run_table1` report across
-//! thread counts {1, 2, 3, 8, auto}.
+//! equality (and `f64::to_bits` equality of the power numbers) — on real
+//! ATPG pattern sets, on ternary (X-carrying) pattern sets with partial
+//! final blocks, under forced pseudo-inputs, PI control values and
+//! `count_capture`, and for the whole `run_table1` report across thread
+//! counts {1, 2, 3, 8, auto}.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use scanpower_suite::atpg::{AtpgConfig, AtpgFlow};
 use scanpower_suite::core::baseline::{traditional_shift_config, InputControlBaseline};
-use scanpower_suite::core::experiment::{run_table1, CircuitExperiment, ExperimentOptions};
+use scanpower_suite::core::experiment::{
+    run_table1, CircuitExperiment, ExperimentOptions, SchemePower,
+};
 use scanpower_suite::core::ProposedMethod;
+use scanpower_suite::lint::LintFacts;
 use scanpower_suite::netlist::generator::CircuitFamily;
 use scanpower_suite::netlist::Netlist;
-use scanpower_suite::sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig};
-use scanpower_suite::sim::{Logic, PackedScanShiftSim, Wide256, Wide512};
+use scanpower_suite::power::{
+    DynamicPower, LeakageAverage, LeakageEstimator, LeakageLibrary, LeakageLookup,
+    PackedShiftLeakage,
+};
+use scanpower_suite::sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig, ShiftPhase, ShiftStats};
+use scanpower_suite::sim::{Logic, PackedScanShiftSim, Propagation};
 
 fn generated_circuit() -> Netlist {
     CircuitFamily::iscas89_like("s344")
@@ -119,233 +133,169 @@ fn packed_replay_matches_scalar_with_x_and_every_config_knob() {
     }
 }
 
-/// The packed experiment path (replay + lane-aware leakage observer) and
-/// the scalar path produce bit-identical `SchemePower` and `ShiftStats`.
-#[test]
-fn experiment_scheme_evaluation_is_bit_identical_between_replays() {
-    let circuit = generated_circuit();
-    let patterns = ternary_patterns(&circuit, 66, 0x5eed);
-    let packed = CircuitExperiment::new(ExperimentOptions {
-        packed_replay: true,
-        ..ExperimentOptions::fast()
-    });
-    let scalar = CircuitExperiment::new(ExperimentOptions {
-        packed_replay: false,
-        ..ExperimentOptions::fast()
-    });
-    let config = traditional_shift_config(&circuit);
-    let (packed_power, packed_stats) = packed.evaluate_scheme_stats(&circuit, &patterns, &config);
-    let (scalar_power, scalar_stats) = scalar.evaluate_scheme_stats(&circuit, &patterns, &config);
-    assert_eq!(packed_stats, scalar_stats);
-    assert_eq!(packed_power, scalar_power);
-    assert_eq!(
-        packed_power.static_uw.to_bits(),
-        scalar_power.static_uw.to_bits(),
-        "static average must match bit for bit"
-    );
+/// One reference replay of a scheme, reduced to what
+/// `try_evaluate_scheme_stats` reports.
+struct Replayed {
+    label: String,
+    stats: ShiftStats,
+    power: SchemePower,
 }
 
-/// The scalar-lookup cross-check configuration
-/// (`ExperimentOptions::scalar_leakage_lookup`): replaying with the
-/// per-gate-per-lane subset-enumeration lookup must reproduce the default
-/// lane-parallel ternary-table gather bit for bit — `SchemePower`,
-/// `ShiftStats` and the full multi-circuit report. CI runs this test by
-/// name so the fallback path cannot rot.
-#[test]
-fn scalar_leakage_lookup_cross_check_is_bit_identical() {
-    let circuit = generated_circuit();
-    let patterns = ternary_patterns(&circuit, 70, 0xcafe);
-    let config = traditional_shift_config(&circuit);
-    let reference = CircuitExperiment::new(ExperimentOptions::fast());
-    let cross_check = CircuitExperiment::new(ExperimentOptions {
-        scalar_leakage_lookup: true,
-        ..ExperimentOptions::fast()
-    });
-    let (reference_power, reference_stats) =
-        reference.evaluate_scheme_stats(&circuit, &patterns, &config);
-    let (cross_power, cross_stats) =
-        cross_check.evaluate_scheme_stats(&circuit, &patterns, &config);
-    assert_eq!(cross_stats, reference_stats);
-    assert_eq!(
-        cross_power.static_uw.to_bits(),
-        reference_power.static_uw.to_bits(),
-        "scalar lookup must match the lane-parallel gather bit for bit"
-    );
-    assert_eq!(cross_power, reference_power);
-
-    let specs = vec![
-        CircuitFamily::iscas89_like("s344").unwrap(),
-        CircuitFamily::iscas89_like("s382").unwrap(),
-    ];
-    let fast = run_table1(&specs, &ExperimentOptions::fast(), Some(0.3), 2);
-    let slow = run_table1(
-        &specs,
-        &ExperimentOptions {
-            scalar_leakage_lookup: true,
-            ..ExperimentOptions::fast()
-        },
-        Some(0.3),
-        2,
-    );
-    assert_eq!(slow, fast, "report must not depend on the lookup mode");
-}
-
-/// The full-sweep propagation cross-check
-/// (`ExperimentOptions::event_driven = false`): replaying every shift cycle
-/// as a full topological pass must reproduce the default event-driven
-/// replay bit for bit — `SchemePower`, `ShiftStats` and the full
-/// multi-circuit report across thread counts. CI runs this test by name so
-/// the full-sweep path cannot rot.
-#[test]
-fn full_sweep_propagation_cross_check_is_bit_identical() {
-    let circuit = generated_circuit();
-    let patterns = ternary_patterns(&circuit, 70, 0xeef);
-    let config = traditional_shift_config(&circuit);
-    let reference = CircuitExperiment::new(ExperimentOptions::fast());
-    assert!(
-        reference.options().event_driven,
-        "event-driven is the default"
-    );
-    let cross_check = CircuitExperiment::new(ExperimentOptions {
-        event_driven: false,
-        ..ExperimentOptions::fast()
-    });
-    let (reference_power, reference_stats) =
-        reference.evaluate_scheme_stats(&circuit, &patterns, &config);
-    let (cross_power, cross_stats) =
-        cross_check.evaluate_scheme_stats(&circuit, &patterns, &config);
-    assert_eq!(cross_stats, reference_stats);
-    assert_eq!(
-        cross_power.static_uw.to_bits(),
-        reference_power.static_uw.to_bits(),
-        "full sweep must match the event-driven replay bit for bit"
-    );
-    assert_eq!(cross_power, reference_power);
-
-    let specs = vec![
-        CircuitFamily::iscas89_like("s344").unwrap(),
-        CircuitFamily::iscas89_like("s382").unwrap(),
-    ];
-    let event_driven = run_table1(&specs, &ExperimentOptions::fast(), Some(0.3), 2);
-    for threads in [1, 3] {
-        let full_sweep = run_table1(
-            &specs,
-            &ExperimentOptions {
-                event_driven: false,
-                threads,
-                ..ExperimentOptions::fast()
-            },
-            Some(0.3),
-            2,
-        );
-        assert_eq!(
-            full_sweep, event_driven,
-            "threads {threads}: report must not depend on the propagation mode"
-        );
+fn replayed(
+    label: String,
+    netlist: &Netlist,
+    library: &LeakageLibrary,
+    stats: ShiftStats,
+    leakage: &LeakageAverage,
+) -> Replayed {
+    let power = SchemePower {
+        dynamic_per_hz_uw: DynamicPower::new().report(netlist, &stats).per_hz_uw,
+        static_uw: leakage.average_uw(library),
+        total_toggles: stats.total_toggles,
+        shift_cycles: stats.shift_cycles,
+    };
+    Replayed {
+        label,
+        stats,
+        power,
     }
 }
 
-/// The wide replay at the sim level: 256- and 512-lane blocks reproduce
-/// the 64-lane and scalar `ShiftStats` exactly — on X-carrying pattern
-/// sets long enough to exercise cross-block capture carries at every
-/// width (300 patterns: partial final block at 64, 256 and 512 lanes),
-/// under PI control values, forced pseudo-inputs and `count_capture`.
-/// CI runs the `wide_kernel` tests by name so the wide path cannot rot.
-#[test]
-fn wide_kernel_replay_is_bit_identical_across_lane_widths() {
-    let circuit = generated_circuit();
-    let ff = circuit.dff_count();
-    let pi = circuit.primary_inputs().len();
-    let patterns = ternary_patterns(&circuit, 300, 0x71de);
-    assert_eq!(patterns.len() % 256, 44, "partial final wide block");
-
-    let mut configs = vec![ShiftConfig::traditional(ff)];
-    let mut knobs =
-        ShiftConfig::with_pi_control(ff, (0..pi).map(|i| Logic::from_bool(i % 3 == 0)).collect());
-    for (cell, forced) in knobs.forced_pseudo.iter_mut().enumerate() {
-        *forced = match cell % 3 {
-            0 => Some(Logic::Zero),
-            1 => Some(Logic::One),
-            _ => None,
-        };
-    }
-    knobs.count_capture = true;
-    configs.push(knobs);
-
-    for config in &configs {
-        let scalar = ScanShiftSim::new(&circuit).run(&circuit, &patterns, config);
-        let sim = PackedScanShiftSim::new(&circuit);
-        let packed = sim.run(&circuit, &patterns, config);
-        let wide256 = sim.run_wide::<Wide256>(&circuit, &patterns, config);
-        let wide512 = sim.run_wide::<Wide512>(&circuit, &patterns, config);
-        assert_eq!(packed, scalar);
-        assert_eq!(wide256, scalar, "256 lanes");
-        assert_eq!(wide512, scalar, "512 lanes");
-    }
+/// The scalar pattern-at-a-time reference replay with the per-cycle
+/// scalar leakage observer.
+fn scalar_replay(netlist: &Netlist, patterns: &[ScanPattern], config: &ShiftConfig) -> Replayed {
+    let library = LeakageLibrary::cmos45();
+    let estimator = LeakageEstimator::with_lookup(netlist, &library, LeakageLookup::Scalar);
+    let mut leakage = LeakageAverage::new();
+    let stats =
+        ScanShiftSim::new(netlist).run_with_observer(netlist, patterns, config, |phase, values| {
+            if phase == ShiftPhase::Shift {
+                leakage.add(estimator.circuit_leakage(netlist, values));
+            }
+        });
+    replayed("scalar replay".into(), netlist, &library, stats, &leakage)
 }
 
-/// The wide replay at the experiment level: `lane_width` 256/512 rows —
-/// replay plus lane-aware leakage observer — match the default 64-lane
-/// rows bit for bit in both propagation modes, and the full Table I
-/// report is width-independent across thread counts {1, 3, auto}.
-#[test]
-fn wide_kernel_experiment_is_bit_identical_across_lane_widths() {
-    let circuit = generated_circuit();
-    let patterns = ternary_patterns(&circuit, 300, 0xd1de);
-    let config = traditional_shift_config(&circuit);
-    let reference = CircuitExperiment::new(ExperimentOptions::fast());
-    assert_eq!(reference.options().lane_width, 64, "64 is the default");
-    let (reference_power, reference_stats) =
-        reference.evaluate_scheme_stats(&circuit, &patterns, &config);
+/// Every reference path, composed directly from the sim and power layers:
+/// the scalar replay, and the packed replay under every combination of
+/// {event-driven, full sweep} × {lane-parallel, scalar lookup} ×
+/// {facts skip, no skip}.
+fn reference_replays(
+    netlist: &Netlist,
+    patterns: &[ScanPattern],
+    config: &ShiftConfig,
+) -> Vec<Replayed> {
+    let library = LeakageLibrary::cmos45();
+    let facts = LintFacts::analyze_shift(netlist, config);
+    let mut references = vec![scalar_replay(netlist, patterns, config)];
 
-    for lane_width in [256, 512] {
-        for event_driven in [true, false] {
-            let wide = CircuitExperiment::new(ExperimentOptions {
-                lane_width,
-                event_driven,
-                ..ExperimentOptions::fast()
-            });
-            let (wide_power, wide_stats) = wide.evaluate_scheme_stats(&circuit, &patterns, &config);
-            assert_eq!(
-                wide_stats, reference_stats,
-                "lane_width {lane_width}, event_driven {event_driven}"
-            );
-            assert_eq!(
-                wide_power.static_uw.to_bits(),
-                reference_power.static_uw.to_bits(),
-                "lane_width {lane_width}, event_driven {event_driven}: \
-                 static average must match bit for bit"
-            );
-            assert_eq!(wide_power, reference_power);
+    let sim = PackedScanShiftSim::new(netlist);
+    for lookup in [LeakageLookup::LaneParallel, LeakageLookup::Scalar] {
+        let estimator = LeakageEstimator::with_lookup(netlist, &library, lookup);
+        for propagation in [Propagation::EventDriven, Propagation::FullSweep] {
+            for skip in [true, false] {
+                let mut observer = if skip {
+                    PackedShiftLeakage::with_facts(netlist, &estimator, &facts)
+                } else {
+                    PackedShiftLeakage::new(netlist, &estimator)
+                };
+                let stats = sim.run_cycles(netlist, patterns, config, propagation, |cycle| {
+                    observer.observe_cycle(cycle);
+                });
+                references.push(replayed(
+                    format!("packed {propagation:?} / {lookup:?} / facts skip {skip}"),
+                    netlist,
+                    &library,
+                    stats,
+                    &observer.into_average(),
+                ));
+            }
         }
     }
+    references
+}
 
-    let specs = vec![
-        CircuitFamily::iscas89_like("s344").unwrap(),
-        CircuitFamily::iscas89_like("s382").unwrap(),
-    ];
-    let narrow = run_table1(&specs, &ExperimentOptions::fast(), Some(0.3), 2);
-    for threads in [1, 3, 0] {
-        let wide = run_table1(
-            &specs,
-            &ExperimentOptions {
-                lane_width: 256,
-                threads,
-                ..ExperimentOptions::fast()
-            },
-            Some(0.3),
-            2,
-        );
-        assert_eq!(
-            wide, narrow,
-            "threads {threads}: report must not depend on the lane width"
-        );
+/// The replay identity differential test: on every reduced-scale Table I
+/// family, for each of the three scan structures and for an ATPG test set,
+/// a ternary (X-carrying) set and a set ending in a partial final block,
+/// the production replay (`try_evaluate_scheme_stats`) is bit-identical —
+/// `ShiftStats` and `f64::to_bits` of both power numbers — to every
+/// reference path in `reference_replays`. The `replay_identity` CI step
+/// runs this file.
+#[test]
+fn experiment_scheme_evaluation_is_bit_identical_between_replays() {
+    let experiment = CircuitExperiment::new(ExperimentOptions::fast());
+    // The facts skip must actually act somewhere, or the facts/no-facts
+    // references would agree vacuously.
+    let mut frozen_gates = 0;
+    for spec in CircuitFamily::table1() {
+        let circuit = spec.scaled(0.1).generate(3);
+        let name = circuit.name().to_owned();
+        let mut atpg = AtpgFlow::new(AtpgConfig::fast())
+            .run(&circuit)
+            .to_scan_patterns(&circuit);
+        atpg.truncate(70);
+        let pattern_sets = [
+            ("atpg", atpg),
+            ("ternary", ternary_patterns(&circuit, 64, 0x7e57)),
+            ("partial", ternary_patterns(&circuit, 65, 0x9a27)),
+        ];
+
+        let baseline = InputControlBaseline::new();
+        let input_control = baseline.shift_config(&circuit, &baseline.plan(&circuit));
+        let proposed = ProposedMethod::new(ExperimentOptions::fast().proposed)
+            .apply(&circuit)
+            .unwrap();
+        let proposed_config = proposed.structure.shift_config(&proposed.scan_mode_pi);
+
+        for (set, patterns) in &pattern_sets {
+            let adapted = proposed.structure.adapt_patterns(patterns);
+            let schemes = [
+                (
+                    "traditional",
+                    &circuit,
+                    patterns,
+                    traditional_shift_config(&circuit),
+                ),
+                ("input control", &circuit, patterns, input_control.clone()),
+                (
+                    "proposed",
+                    proposed.structure.netlist(),
+                    &adapted,
+                    proposed_config.clone(),
+                ),
+            ];
+            for (scheme, netlist, patterns, config) in &schemes {
+                let (power, stats) = experiment
+                    .try_evaluate_scheme_stats(netlist, patterns, config)
+                    .unwrap();
+                assert!(stats.shift_cycles > 0, "{name} / {scheme} / {set}: empty");
+                frozen_gates += LintFacts::analyze_shift(netlist, config).static_gate_count();
+                for reference in reference_replays(netlist, patterns, config) {
+                    let at = format!("{name} / {scheme} / {set} / {}", reference.label);
+                    assert_eq!(stats, reference.stats, "{at}: stats");
+                    assert_eq!(
+                        power.dynamic_per_hz_uw.to_bits(),
+                        reference.power.dynamic_per_hz_uw.to_bits(),
+                        "{at}: dynamic"
+                    );
+                    assert_eq!(
+                        power.static_uw.to_bits(),
+                        reference.power.static_uw.to_bits(),
+                        "{at}: static"
+                    );
+                    assert_eq!(power, reference.power, "{at}: scheme power");
+                }
+            }
+        }
     }
+    assert!(frozen_gates > 0, "no scheme froze a gate");
 }
 
 /// The full multi-circuit harness: one circuit per driver job, merged in
 /// circuit order — bit-identical for thread counts {1, 2, 3, 8, auto}, and
-/// identical between the packed and the scalar replay.
+/// each row's traditional and input-control cells identical to scalar
+/// replays of the same ATPG patterns.
 #[test]
 fn run_table1_is_bit_identical_across_thread_counts_and_replays() {
     let specs = vec![
@@ -368,7 +318,6 @@ fn run_table1_is_bit_identical_across_thread_counts_and_replays() {
         assert_eq!(row.circuit, spec.name(), "rows merged in circuit order");
     }
 
-    // Thread counts, packed replay.
     for threads in [2, 3, 8, 0] {
         let parallel = run_table1(
             &specs,
@@ -382,18 +331,20 @@ fn run_table1_is_bit_identical_across_thread_counts_and_replays() {
         assert_eq!(parallel, reference, "threads {threads}");
     }
 
-    // Scalar replay, sequential and sharded.
-    for threads in [1, 3] {
-        let scalar = run_table1(
-            &specs,
-            &ExperimentOptions {
-                threads,
-                packed_replay: false,
-                ..ExperimentOptions::fast()
-            },
-            Some(0.3),
-            2,
-        );
-        assert_eq!(scalar, reference, "scalar replay, threads {threads}");
+    let options = ExperimentOptions::fast();
+    let baseline = InputControlBaseline::new();
+    for (row, spec) in reference.rows.iter().zip(&specs) {
+        let circuit = spec.scaled(0.3).generate(2);
+        let mut patterns = AtpgFlow::new(options.atpg.clone())
+            .run(&circuit)
+            .to_scan_patterns(&circuit);
+        patterns.truncate(options.max_patterns.expect("fast() caps the patterns"));
+        assert_eq!(row.patterns, patterns.len(), "{}", row.circuit);
+        let traditional = scalar_replay(&circuit, &patterns, &traditional_shift_config(&circuit));
+        assert_eq!(row.traditional, traditional.power, "{}", row.circuit);
+        let plan = baseline.plan(&circuit);
+        let input_control =
+            scalar_replay(&circuit, &patterns, &baseline.shift_config(&circuit, &plan));
+        assert_eq!(row.input_control, input_control.power, "{}", row.circuit);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The product guarantee under test: **identical submissions return
 //! bit-identical rows** — regardless of the harness worker count, the
-//! order circuits arrive in, the packed lane width, which transport
-//! carried the frames, or whether the rows were recomputed or served from
-//! the shared result cache. Pinning happens at the **byte** level on the
+//! order circuits arrive in, which transport carried the frames, or
+//! whether the rows were recomputed or served from the shared result
+//! cache. Pinning happens at the **byte** level on the
 //! `RowReady` response payloads, not on decoded values.
 //!
 //! The robustness half reuses the `tests/wire.rs` corruption discipline
@@ -12,6 +12,12 @@
 //! format versions and 256 single-byte corruptions must each produce a
 //! typed response frame (or a clean session end for broken framing) —
 //! never a panic, never a wedged server.
+//!
+//! Failpoints are process-global: on the `fault-inject` leg a drill's
+//! `serve::session` / `serve::queue` fault would also fire in any session
+//! running at the same time. Every test here therefore holds
+//! `failpoint::scope()`, which serializes it with the drills (the guard is
+//! inert without the feature).
 
 use std::sync::Arc;
 
@@ -26,6 +32,7 @@ use scanpower_suite::serve::protocol::{
 };
 use scanpower_suite::serve::transport::{LocalTransport, StreamConnection, TcpTransport};
 use scanpower_suite::serve::{ServeClient, ServeConfig, Server};
+use scanpower_suite::sim::failpoint;
 use scanpower_suite::wire::{decode_message, encode_message, WIRE_MAGIC, WIRE_VERSION};
 
 const SCALE: Option<f64> = Some(0.3);
@@ -49,10 +56,9 @@ fn sources(order: &[usize]) -> Vec<CircuitSource> {
         .collect()
 }
 
-fn options(threads: usize, lane_width: usize) -> ExperimentOptions {
+fn options(threads: usize) -> ExperimentOptions {
     ExperimentOptions {
         threads,
-        lane_width,
         ..ExperimentOptions::fast()
     }
 }
@@ -111,17 +117,17 @@ fn job_done_cache_hits(end: &Response) -> u64 {
 }
 
 /// The identity matrix: one shared cache, the same batch submitted across
-/// harness worker counts {1, 3, auto} × lane widths {64, 512} × shuffled
-/// arrival orders. Every row's outcome bytes are pinned identical to the
+/// harness worker counts {1, 3, auto} × shuffled arrival orders. Every row's outcome bytes are pinned identical to the
 /// reference run, the first run computes everything, and every
 /// resubmission is served entirely by cache hits (hits == circuit count —
 /// the `tests/cache.rs` discipline, now through the protocol).
 #[test]
-fn service_identity_across_workers_lanes_orders_and_cache() {
+fn service_identity_across_workers_orders_and_cache() {
+    let _serial = failpoint::scope();
     let cache = Arc::new(ResultCache::in_memory());
     let base_order = [0, 1, 2];
 
-    let (reference, end) = run_local(&cache, &base_order, options(1, 64));
+    let (reference, end) = run_local(&cache, &base_order, options(1));
     assert_eq!(
         job_done_cache_hits(&end),
         0,
@@ -130,32 +136,26 @@ fn service_identity_across_workers_lanes_orders_and_cache() {
     let reference_bytes: Vec<&Vec<u8>> = reference.iter().map(|(_, bytes, _)| bytes).collect();
 
     for threads in [1, 3, 0] {
-        for lane_width in [64, 512] {
-            let (rows, end) = run_local(&cache, &base_order, options(threads, lane_width));
-            for ((circuit, bytes, frame), (_, _, reference_frame)) in
-                rows.iter().zip(reference.iter())
-            {
-                assert_eq!(
-                    bytes, reference_bytes[*circuit],
-                    "threads {threads}, lanes {lane_width}: outcome bytes"
-                );
-                // Same order, same fresh-server job id: the whole frame
-                // is byte-identical, not just the row.
-                assert_eq!(
-                    frame, reference_frame,
-                    "threads {threads}, lanes {lane_width}: full frame"
-                );
-            }
+        let (rows, end) = run_local(&cache, &base_order, options(threads));
+        for ((circuit, bytes, frame), (_, _, reference_frame)) in rows.iter().zip(reference.iter())
+        {
             assert_eq!(
-                job_done_cache_hits(&end),
-                CIRCUITS.len() as u64,
-                "threads {threads}, lanes {lane_width}: served from cache"
+                bytes, reference_bytes[*circuit],
+                "threads {threads}: outcome bytes"
             );
+            // Same order, same fresh-server job id: the whole frame is
+            // byte-identical, not just the row.
+            assert_eq!(frame, reference_frame, "threads {threads}: full frame");
         }
+        assert_eq!(
+            job_done_cache_hits(&end),
+            CIRCUITS.len() as u64,
+            "threads {threads}: served from cache"
+        );
     }
 
     for order in [[2, 0, 1], [1, 2, 0], [2, 1, 0]] {
-        let (rows, end) = run_local(&cache, &order, options(3, 64));
+        let (rows, end) = run_local(&cache, &order, options(3));
         for (circuit, bytes, _) in &rows {
             assert_eq!(
                 bytes, reference_bytes[*circuit],
@@ -171,9 +171,10 @@ fn service_identity_across_workers_lanes_orders_and_cache() {
 /// response frames compared byte for byte.
 #[test]
 fn tcp_and_local_transports_carry_identical_frames() {
+    let _serial = failpoint::scope();
     let cache = Arc::new(ResultCache::in_memory());
     let order = [0, 1];
-    let (local_rows, _) = run_local(&cache, &order, options(1, 64));
+    let (local_rows, _) = run_local(&cache, &order, options(1));
 
     let server = Server::with_cache(ServeConfig::default(), Arc::clone(&cache));
     let (transport, shutdown) = TcpTransport::bind("127.0.0.1:0").unwrap();
@@ -185,7 +186,7 @@ fn tcp_and_local_transports_carry_identical_frames() {
     let drained = client
         .run_job(&JobSpec {
             circuits: sources(&order),
-            options: options(1, 64),
+            options: options(1),
         })
         .unwrap();
     assert_eq!(drained.rows.len(), order.len());
@@ -206,6 +207,7 @@ fn tcp_and_local_transports_carry_identical_frames() {
 /// is refused and reports the queue's occupancy.
 #[test]
 fn full_queue_refuses_submissions_with_typed_busy() {
+    let _serial = failpoint::scope();
     let server = Server::new(ServeConfig {
         queue_capacity: 1,
         workers: 0,
@@ -216,7 +218,7 @@ fn full_queue_refuses_submissions_with_typed_busy() {
     let mut client = ServeClient::new(connector.connect().unwrap());
     let spec = JobSpec {
         circuits: sources(&[0]),
-        options: options(1, 64),
+        options: options(1),
     };
     assert!(matches!(
         client.submit(&spec).unwrap(),
@@ -247,6 +249,7 @@ fn full_queue_refuses_submissions_with_typed_busy() {
 /// races: the no-worker server runs the job strictly after the cancel.
 #[test]
 fn cancel_job_cancels_every_circuit_deterministically() {
+    let _serial = failpoint::scope();
     let server = Server::new(ServeConfig {
         queue_capacity: 4,
         workers: 0,
@@ -258,7 +261,7 @@ fn cancel_job_cancels_every_circuit_deterministically() {
     let Response::JobAccepted { job } = client
         .submit(&JobSpec {
             circuits: sources(&[0, 1]),
-            options: options(1, 64),
+            options: options(1),
         })
         .unwrap()
     else {
@@ -311,6 +314,7 @@ fn cancel_job_cancels_every_circuit_deterministically() {
 /// — and the session keeps answering valid requests afterwards.
 #[test]
 fn corrupted_request_payloads_get_typed_responses_and_never_wedge() {
+    let _serial = failpoint::scope();
     let server = Server::new(ServeConfig {
         workers: 0,
         ..ServeConfig::default()
@@ -376,6 +380,7 @@ fn corrupted_request_payloads_get_typed_responses_and_never_wedge() {
 /// keeps accepting and serving fresh connections.
 #[test]
 fn broken_framing_ends_the_session_but_not_the_server() {
+    let _serial = failpoint::scope();
     use std::io::Write;
 
     let server = Server::new(ServeConfig {
@@ -419,7 +424,7 @@ fn broken_framing_ends_the_session_but_not_the_server() {
 #[cfg(feature = "fault-inject")]
 mod fault_drills {
     use super::*;
-    use scanpower_suite::sim::failpoint::{self, Fault};
+    use scanpower_suite::sim::failpoint::Fault;
 
     #[test]
     fn injected_session_fault_fails_one_request_not_the_session() {
@@ -464,7 +469,7 @@ mod fault_drills {
         let mut client = ServeClient::new(connector.connect().unwrap());
         let spec = JobSpec {
             circuits: sources(&[0]),
-            options: options(1, 64),
+            options: options(1),
         };
         let Response::Error { message } = client.submit(&spec).unwrap() else {
             panic!("the first admission must trip the failpoint");

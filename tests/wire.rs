@@ -200,12 +200,7 @@ fn experiment_options_round_trip_all_knobs() {
                 threads: rng.gen_range(0..8),
             },
             threads: rng.gen_range(0..8),
-            packed_replay: rng.gen_bool(0.5),
-            lane_width: *[64usize, 256, 512].get(rng.gen_range(0..3)).unwrap(),
-            event_driven: rng.gen_bool(0.5),
-            scalar_leakage_lookup: rng.gen_bool(0.5),
             lint_preflight: rng.gen_bool(0.5),
-            lint_facts_skip: rng.gen_bool(0.5),
             limits: ResourceLimits {
                 max_gates: rng.gen_bool(0.5).then(|| rng.gen_range(0..100_000)),
                 max_replayed_patterns: rng.gen_bool(0.5).then(|| rng.gen_range(0..10_000)),
@@ -241,16 +236,19 @@ fn decode_rejects_a_wrong_version() {
     let netlist = bench::parse(bench::S27_BENCH, "s27").unwrap();
     let mut bytes = netlist.to_wire_bytes();
     assert_eq!(&bytes[..4], WIRE_MAGIC.as_slice());
-    // The version is the little-endian u16 right after the magic.
-    let stale = WIRE_VERSION + 1;
-    bytes[4..6].copy_from_slice(&stale.to_le_bytes());
-    assert_eq!(
-        Netlist::from_wire_bytes(&bytes).unwrap_err(),
-        WireError::UnsupportedVersion {
-            found: stale,
-            supported: WIRE_VERSION,
-        }
-    );
+    // The version is the little-endian u16 right after the magic. Both a
+    // future build's frames and the previous layout's (version 1, before
+    // `ExperimentOptions` shrank) get the typed refusal.
+    for stale in [WIRE_VERSION - 1, WIRE_VERSION + 1] {
+        bytes[4..6].copy_from_slice(&stale.to_le_bytes());
+        assert_eq!(
+            Netlist::from_wire_bytes(&bytes).unwrap_err(),
+            WireError::UnsupportedVersion {
+                found: stale,
+                supported: WIRE_VERSION,
+            }
+        );
+    }
 }
 
 #[test]

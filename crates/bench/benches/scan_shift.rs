@@ -22,7 +22,9 @@ use scanpower_power::{
 use scanpower_sim::kernel::pack_logic_patterns;
 use scanpower_sim::patterns::random_bool_patterns;
 use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig, ShiftPhase};
-use scanpower_sim::{BlockDriver, Logic, PackedScanShiftSim, PackedWord, Propagation, SimKernel};
+use scanpower_sim::{
+    BlockDriver, Logic, PackedScanShiftSim, PackedWord, Propagation, ShiftCycle, SimKernel,
+};
 
 fn replay_patterns(
     circuit: &scanpower_netlist::Netlist,
@@ -43,9 +45,15 @@ fn scan_shift(c: &mut Criterion) {
     let config = ShiftConfig::traditional(circuit.dff_count());
     let scalar = ScanShiftSim::new(&circuit);
     let packed = PackedScanShiftSim::new(&circuit);
+    // The bare packed replay: no cancel flag, so it never fails.
+    let packed_run = |circuit, config, propagation| {
+        packed
+            .run(circuit, &patterns, config, propagation, None, |_| {})
+            .expect("no cancel flag")
+    };
     assert_eq!(
         scalar.run(&circuit, &patterns, &config),
-        packed.run(&circuit, &patterns, &config),
+        packed_run(&circuit, &config, Propagation::default()),
         "packed replay must be bit-identical to the scalar replay"
     );
 
@@ -55,7 +63,7 @@ fn scan_shift(c: &mut Criterion) {
         b.iter(|| scalar.run(black_box(&circuit), &patterns, &config));
     });
     group.bench_function("replay_128_packed", |b| {
-        b.iter(|| packed.run(black_box(&circuit), &patterns, &config));
+        b.iter(|| packed_run(black_box(&circuit), &config, Propagation::default()));
     });
 
     // With the leakage observer attached (the Table I configuration).
@@ -81,29 +89,30 @@ fn scan_shift(c: &mut Criterion) {
             (stats, average)
         });
     });
+    // Both packed rows measure the observer without the changed-net delta,
+    // so every shift state takes its full gather.
+    let packed_with_leakage = |estimator| {
+        let mut observer = PackedShiftLeakage::new(&circuit, estimator);
+        let stats = packed.run(
+            black_box(&circuit),
+            &patterns,
+            &config,
+            Propagation::EventDriven,
+            None,
+            |cycle| {
+                observer.observe_cycle(&ShiftCycle {
+                    changed: None,
+                    ..*cycle
+                })
+            },
+        );
+        (stats, observer.into_average())
+    };
     group.bench_function("replay_128_packed_with_leakage", |b| {
-        b.iter(|| {
-            let mut observer = PackedShiftLeakage::new(&circuit, &estimator);
-            let stats = packed.run_with_observer(
-                black_box(&circuit),
-                &patterns,
-                &config,
-                |phase, values, lanes| observer.observe(phase, values, lanes),
-            );
-            (stats, observer.into_average())
-        });
+        b.iter(|| packed_with_leakage(&estimator));
     });
     group.bench_function("replay_128_packed_with_leakage_scalar_lookup", |b| {
-        b.iter(|| {
-            let mut observer = PackedShiftLeakage::new(&circuit, &scalar_lookup);
-            let stats = packed.run_with_observer(
-                black_box(&circuit),
-                &patterns,
-                &config,
-                |phase, values, lanes| observer.observe(phase, values, lanes),
-            );
-            (stats, observer.into_average())
-        });
+        b.iter(|| packed_with_leakage(&scalar_lookup));
     });
     group.finish();
 
@@ -190,14 +199,8 @@ fn scan_shift(c: &mut Criterion) {
     group.sample_size(10);
     for (label, config) in [("traditional", &config), ("low_activity", &low_activity)] {
         assert_eq!(
-            packed.run_cycles(
-                &circuit,
-                &patterns,
-                config,
-                Propagation::EventDriven,
-                |_| {}
-            ),
-            packed.run_cycles(&circuit, &patterns, config, Propagation::FullSweep, |_| {}),
+            packed_run(&circuit, config, Propagation::EventDriven),
+            packed_run(&circuit, config, Propagation::FullSweep),
             "propagation modes must be bit-identical ({label})"
         );
         for (mode_label, propagation) in [
@@ -205,18 +208,17 @@ fn scan_shift(c: &mut Criterion) {
             ("event_driven", Propagation::EventDriven),
         ] {
             group.bench_function(format!("replay_128_{mode_label}_{label}"), |b| {
-                b.iter(|| {
-                    packed.run_cycles(black_box(&circuit), &patterns, config, propagation, |_| {})
-                });
+                b.iter(|| packed_run(black_box(&circuit), config, propagation));
             });
             group.bench_function(format!("observer_128_{mode_label}_{label}"), |b| {
                 b.iter(|| {
                     let mut observer = PackedShiftLeakage::new(&circuit, &estimator);
-                    let stats = packed.run_cycles(
+                    let stats = packed.run(
                         black_box(&circuit),
                         &patterns,
                         config,
                         propagation,
+                        None,
                         |cycle| observer.observe_cycle(cycle),
                     );
                     (stats, observer.into_average())

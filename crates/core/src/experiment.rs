@@ -24,8 +24,7 @@ use scanpower_power::{
 use scanpower_sim::failpoint;
 use scanpower_sim::scan::{ScanPattern, ShiftConfig, ShiftStats};
 use scanpower_sim::{
-    BlockDriver, CancelFlag, Canceled, JobFailure, JobPolicy, PackedScanShiftSim, PackedWord,
-    Propagation,
+    BlockDriver, CancelFlag, Canceled, JobFailure, JobPolicy, PackedScanShiftSim, Propagation,
 };
 use scanpower_wire::Wire;
 
@@ -404,7 +403,7 @@ impl CircuitExperiment {
 
     /// The cancellable scheme replay behind the public entry point: the
     /// packed replay polls `cancel` once per block
-    /// ([`PackedScanShiftSim::try_run_cycles_wide`]).
+    /// ([`PackedScanShiftSim::run`]).
     fn scheme_stats(
         &self,
         netlist: &Netlist,
@@ -657,8 +656,8 @@ fn packed_scheme_replay(
     cancel: Option<&CancelFlag>,
 ) -> Result<(ShiftStats, LeakageAverage), Canceled> {
     let facts = LintFacts::analyze_shift(netlist, config);
-    let mut leakage = PackedShiftLeakage::<PackedWord>::with_facts(netlist, estimator, &facts);
-    let stats = PackedScanShiftSim::new(netlist).try_run_cycles_wide::<PackedWord, _>(
+    let mut leakage = PackedShiftLeakage::with_facts(netlist, estimator, &facts);
+    let stats = PackedScanShiftSim::new(netlist).run(
         netlist,
         patterns,
         config,

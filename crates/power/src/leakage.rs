@@ -5,7 +5,7 @@ use scanpower_netlist::{GateId, GateKind, NetId, Netlist};
 use scanpower_sim::failpoint;
 use scanpower_sim::kernel;
 use scanpower_sim::scan::ShiftPhase;
-use scanpower_sim::{Logic, PackedLogicWord, PackedWord, ShiftCycle};
+use scanpower_sim::{Logic, LogicWord, PackedWord, ShiftCycle};
 
 use crate::model::{self, LeakageParams, VDD};
 
@@ -226,23 +226,22 @@ impl LeakageEstimator {
 
     /// Total leakage current (nA) of the combinational part for each of the
     /// first `lanes` circuit states of a packed simulation result (one
-    /// packed word per net, as produced by
-    /// [`SimKernel`](scanpower_sim::SimKernel)`::<W>::evaluate` — 64 lanes
-    /// with [`PackedWord`]).
+    /// [`PackedWord`] per net, as produced by
+    /// [`SimKernel`](scanpower_sim::SimKernel)`::<PackedWord>::evaluate`).
     ///
-    /// One topological simulation pass feeds up to `W::LANES` leakage
+    /// One topological simulation pass feeds up to 64 leakage
     /// evaluations — this is the lane-parallel path behind the Monte-Carlo
     /// minimum-leakage vector search and the packed scan-shift static-power
     /// observer.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes > W::LANES`.
+    /// Panics if `lanes > 64`.
     #[must_use]
-    pub fn circuit_leakage_lanes<W: PackedLogicWord>(
+    pub fn circuit_leakage_lanes(
         &self,
         netlist: &Netlist,
-        values: &[W],
+        values: &[PackedWord],
         lanes: usize,
     ) -> Vec<f64> {
         let mut totals = Vec::with_capacity(lanes);
@@ -268,15 +267,15 @@ impl LeakageEstimator {
     ///
     /// # Panics
     ///
-    /// Panics if `lanes > W::LANES`.
-    pub fn circuit_leakage_lanes_into<W: PackedLogicWord>(
+    /// Panics if `lanes > 64`.
+    pub fn circuit_leakage_lanes_into(
         &self,
         netlist: &Netlist,
-        values: &[W],
+        values: &[PackedWord],
         lanes: usize,
         totals: &mut Vec<f64>,
     ) {
-        assert!(lanes <= W::LANES, "more lanes than the word carries");
+        assert!(lanes <= 64, "a packed word holds at most 64 lanes");
         totals.clear();
         totals.resize(lanes, 0.0);
         let mut contributions = vec![0.0f64; lanes];
@@ -301,21 +300,21 @@ impl LeakageEstimator {
     ///
     /// # Panics
     ///
-    /// Panics if `lanes > W::LANES` or `out` is shorter than `lanes`.
-    pub fn gate_leakage_lanes_into<W: PackedLogicWord>(
+    /// Panics if `lanes > 64` or `out` is shorter than `lanes`.
+    pub fn gate_leakage_lanes_into(
         &self,
         netlist: &Netlist,
         gate_id: GateId,
-        values: &[W],
+        values: &[PackedWord],
         lanes: usize,
         out: &mut [f64],
     ) {
-        assert!(lanes <= W::LANES, "more lanes than the word carries");
+        assert!(lanes <= 64, "a packed word holds at most 64 lanes");
         // The gate, its table and its input words are loop-invariant over
         // the lanes: resolve them once per gate, not once per lane. 31 pins
         // is the workspace-wide table cap, so the gather buffer lives on
         // the stack.
-        let mut pin_words = [W::splat(Logic::X); 31];
+        let mut pin_words = [PackedWord::splat(Logic::X); 31];
         let gate = netlist.gate(gate_id);
         let fanin = gate.inputs.len();
         for (word, &input) in pin_words.iter_mut().zip(&gate.inputs) {
@@ -323,18 +322,13 @@ impl LeakageEstimator {
         }
         let pins = &pin_words[..fanin];
         if let Some(slot) = self.ternary[gate_id.index()] {
-            // One ≤64-lane bit-plane transpose per plane word; the index
-            // scratch stays on the stack at every width.
+            // One bit-plane transpose into a stack index buffer, then one
+            // table load per lane.
             let table = &self.ternary_tables[slot];
             let mut indices = [0u32; 64];
-            let mut base = 0;
-            while base < lanes {
-                let take = (lanes - base).min(64);
-                kernel::lane_state_indices_word(pins, base / 64, take, &mut indices[..take]);
-                for (slot, &index) in out[base..base + take].iter_mut().zip(&indices[..take]) {
-                    *slot = table[index as usize];
-                }
-                base += take;
+            kernel::lane_state_indices(pins, lanes, &mut indices);
+            for (slot, &index) in out[..lanes].iter_mut().zip(&indices[..lanes]) {
+                *slot = table[index as usize];
             }
         } else {
             let table = &self.tables[gate_id.index()];
@@ -494,10 +488,9 @@ impl LeakageAverage {
 /// Lane-aware static-power observer for the packed scan-shift replay.
 ///
 /// Plugs into the packed replay
-/// ([`PackedScanShiftSim::run_cycles`](scanpower_sim::PackedScanShiftSim::run_cycles)
-/// via [`PackedShiftLeakage::observe_cycle`], or the plain observer hook via
-/// [`PackedShiftLeakage::observe`]): every [`ShiftPhase::Shift`] event is
-/// evaluated once over all active lanes with the lane-parallel
+/// ([`PackedScanShiftSim::run`](scanpower_sim::PackedScanShiftSim::run)
+/// via [`PackedShiftLeakage::observe_cycle`]): every [`ShiftPhase::Shift`]
+/// event is evaluated once over all active lanes with the lane-parallel
 /// ternary-table gather (writing into a recycled row buffer — no unpacking
 /// to scalar [`Logic`] and no allocation per cycle in the steady state) and
 /// the per-cycle lane rows are buffered until the block's
@@ -511,7 +504,7 @@ impl LeakageAverage {
 ///
 /// When the replay supplies a changed-net delta
 /// ([`ShiftCycle::changed`]), the observer keeps a per-gate **contribution
-/// cache** (each gate's `W::LANES` per-lane leakage values from the
+/// cache** (each gate's 64 per-lane leakage values from the
 /// previous cycle) and re-gathers only the gates that read a changed net;
 /// every other gate's contribution is reused from the cache. Naïve floating-point
 /// *delta accumulation* (`row − old + new`) would change the summation
@@ -552,21 +545,22 @@ impl LeakageAverage {
 /// let config = ShiftConfig::traditional(circuit.dff_count());
 ///
 /// let mut observer = PackedShiftLeakage::new(&circuit, &estimator);
-/// let stats = PackedScanShiftSim::new(&circuit).run_cycles(
+/// let stats = PackedScanShiftSim::new(&circuit).run(
 ///     &circuit,
 ///     &patterns,
 ///     &config,
 ///     Propagation::EventDriven,
+///     None,
 ///     |cycle| observer.observe_cycle(cycle),
-/// );
+/// )?;
 /// let average = observer.into_average();
 /// // One leakage sample per pattern per shift cycle, shift states only.
 /// assert_eq!(average.samples(), stats.shift_cycles);
 /// assert!(average.average_uw(&library) > 0.0);
-/// # Ok::<(), scanpower_netlist::NetlistError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct PackedShiftLeakage<'a, W: PackedLogicWord = PackedWord> {
+pub struct PackedShiftLeakage<'a> {
     netlist: &'a Netlist,
     estimator: &'a LeakageEstimator,
     rows: Vec<Vec<f64>>,
@@ -576,7 +570,7 @@ pub struct PackedShiftLeakage<'a, W: PackedLogicWord = PackedWord> {
     pool: Vec<Vec<f64>>,
     average: LeakageAverage,
     /// Per-gate per-lane contributions of the previously observed shift
-    /// state, `W::LANES` slots per gate (lane-major); only meaningful when
+    /// state, 64 slots per gate (lane-major); only meaningful when
     /// `cache_lanes` is `Some`.
     contributions: Vec<f64>,
     /// `Some(lanes)` when `contributions` matches the previous shift event
@@ -589,10 +583,10 @@ pub struct PackedShiftLeakage<'a, W: PackedLogicWord = PackedWord> {
     /// Scratch: the gates to re-gather this cycle.
     dirty: Vec<u32>,
     /// `true` once any event carried a changed-net delta. Until then the
-    /// observer is being fed without deltas (the plain
-    /// [`PackedShiftLeakage::observe`] hook, or full-sweep propagation) and
-    /// full gathers skip populating the contribution cache — the cheapest
-    /// path when no delta will ever consult it.
+    /// observer is being fed without deltas (full-sweep propagation, or a
+    /// caller that strips them) and full gathers skip populating the
+    /// contribution cache — the cheapest path when no delta will ever
+    /// consult it.
     delta_seen: bool,
     /// Per-gate flag from [`LintFacts`]: `true` for gates whose every input
     /// is provably constant under the replay's shift configuration. Empty
@@ -612,15 +606,12 @@ pub struct PackedShiftLeakage<'a, W: PackedLogicWord = PackedWord> {
     /// Capture flushes seen so far — the `power::observer::flush` failpoint
     /// key.
     flushes: u64,
-    /// The word type only shapes the cache stride (`W::LANES`) and the
-    /// observed slices; no word is stored.
-    marker: std::marker::PhantomData<W>,
 }
 
-impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
+impl<'a> PackedShiftLeakage<'a> {
     /// Creates an empty accumulator over `estimator`'s tables.
     #[must_use]
-    pub fn new(netlist: &'a Netlist, estimator: &'a LeakageEstimator) -> PackedShiftLeakage<'a, W> {
+    pub fn new(netlist: &'a Netlist, estimator: &'a LeakageEstimator) -> PackedShiftLeakage<'a> {
         PackedShiftLeakage {
             netlist,
             estimator,
@@ -639,7 +630,6 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
             static_primed: false,
             observed: 0,
             flushes: 0,
-            marker: std::marker::PhantomData,
         }
     }
 
@@ -665,7 +655,7 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
         netlist: &'a Netlist,
         estimator: &'a LeakageEstimator,
         facts: &LintFacts,
-    ) -> PackedShiftLeakage<'a, W> {
+    ) -> PackedShiftLeakage<'a> {
         assert_eq!(
             facts.net_count(),
             netlist.net_count(),
@@ -677,10 +667,10 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
             "facts were computed for a different netlist (gate count mismatch)"
         );
         let mut observer = PackedShiftLeakage::new(netlist, estimator);
-        let splat: Vec<W> = facts
+        let splat: Vec<PackedWord> = facts
             .values()
             .iter()
-            .map(|&value| W::splat(value))
+            .map(|&value| PackedWord::splat(value))
             .collect();
         observer.static_gate = vec![false; netlist.gate_count()];
         observer.static_value = vec![0.0; netlist.gate_count()];
@@ -706,29 +696,14 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
         self.static_count
     }
 
-    /// Feeds one packed replay event (shift states accumulate, the capture
-    /// event flushes the block; capture states themselves are not counted,
-    /// matching the paper's shift-only static power). Without change
-    /// information every shift state is fully re-gathered; observers fed by
-    /// [`PackedScanShiftSim::run_cycles`](scanpower_sim::PackedScanShiftSim::run_cycles)
-    /// should use [`PackedShiftLeakage::observe_cycle`], which exploits the
-    /// per-cycle delta.
-    pub fn observe(&mut self, phase: ShiftPhase, values: &[W], lanes: usize) {
-        self.observe_cycle(&ShiftCycle {
-            phase,
-            values,
-            lanes,
-            changed: None,
-        });
-    }
-
     /// Feeds one packed replay event with its changed-net delta (see
     /// [`ShiftCycle`]): shift states accumulate — through the incremental
     /// contribution cache when [`ShiftCycle::changed`] is present, through
     /// a full lane-parallel gather otherwise — and the capture event
-    /// flushes the block in the scalar pattern-major order. The resulting
-    /// average is bit-identical either way.
-    pub fn observe_cycle(&mut self, cycle: &ShiftCycle<'_, W>) {
+    /// flushes the block in the scalar pattern-major order. Capture states
+    /// themselves are not counted, matching the paper's shift-only static
+    /// power. The resulting average is bit-identical either way.
+    pub fn observe_cycle(&mut self, cycle: &ShiftCycle<'_>) {
         match cycle.phase {
             ShiftPhase::Shift => {
                 failpoint::strike("power::observer::cycle", self.observed);
@@ -774,16 +749,17 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
     /// Gathers every gate's per-lane contributions into the cache and sums
     /// the row gate by gate in netlist order — the exact accumulation of
     /// [`LeakageEstimator::circuit_leakage_lanes_into`].
-    fn full_gather(&mut self, cycle: &ShiftCycle<'_, W>, row: &mut Vec<f64>) {
+    fn full_gather(&mut self, cycle: &ShiftCycle<'_>, row: &mut Vec<f64>) {
         let gate_count = self.netlist.gate_count();
-        self.contributions.resize(gate_count * W::LANES, 0.0);
+        self.contributions
+            .resize(gate_count * PackedWord::LANES, 0.0);
         for gate_id in self.netlist.gate_ids() {
-            let slot = gate_id.index() * W::LANES;
+            let slot = gate_id.index() * PackedWord::LANES;
             if self.static_count > 0 && self.static_gate[gate_id.index()] {
                 // A static gate's contribution never moves: fill its cache
                 // slots once, then skip its table gather forever.
                 if !self.static_primed {
-                    self.contributions[slot..slot + W::LANES]
+                    self.contributions[slot..slot + PackedWord::LANES]
                         .fill(self.static_value[gate_id.index()]);
                 }
                 continue;
@@ -793,7 +769,7 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
                 gate_id,
                 cycle.values,
                 cycle.lanes,
-                &mut self.contributions[slot..slot + W::LANES],
+                &mut self.contributions[slot..slot + PackedWord::LANES],
             );
         }
         self.static_primed = true;
@@ -804,7 +780,7 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
     /// Re-gathers only the gates reading a changed net, then re-sums the
     /// row in the same gate order as a full gather — identical floats,
     /// identical order, bit-identical sum.
-    fn regather_dirty(&mut self, changed: &[NetId], cycle: &ShiftCycle<'_, W>, row: &mut Vec<f64>) {
+    fn regather_dirty(&mut self, changed: &[NetId], cycle: &ShiftCycle<'_>, row: &mut Vec<f64>) {
         self.epoch += 1;
         self.dirty.clear();
         for &net in changed {
@@ -832,13 +808,13 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
             }
         }
         for &gate_index in &self.dirty {
-            let slot = gate_index as usize * W::LANES;
+            let slot = gate_index as usize * PackedWord::LANES;
             self.estimator.gate_leakage_lanes_into(
                 self.netlist,
                 GateId::from_index(gate_index as usize),
                 cycle.values,
                 cycle.lanes,
-                &mut self.contributions[slot..slot + W::LANES],
+                &mut self.contributions[slot..slot + PackedWord::LANES],
             );
         }
         self.sum_contributions(cycle.lanes, row);
@@ -851,7 +827,7 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
         row.clear();
         row.resize(lanes, 0.0);
         for gate_index in 0..self.netlist.gate_count() {
-            let slot = gate_index * W::LANES;
+            let slot = gate_index * PackedWord::LANES;
             for (total, &contribution) in
                 row.iter_mut().zip(&self.contributions[slot..slot + lanes])
             {
@@ -873,7 +849,22 @@ impl<'a, W: PackedLogicWord> PackedShiftLeakage<'a, W> {
 mod tests {
     use super::*;
     use scanpower_netlist::{bench, GateKind, Netlist};
-    use scanpower_sim::Evaluator;
+    use scanpower_sim::scan::{ScanPattern, ShiftConfig, ShiftStats};
+    use scanpower_sim::{Evaluator, PackedScanShiftSim, Propagation};
+
+    /// The packed replay without a cancel flag (which never fails), every
+    /// event handed to `observer`.
+    fn packed_replay(
+        n: &Netlist,
+        patterns: &[ScanPattern],
+        config: &ShiftConfig,
+        propagation: Propagation,
+        observer: impl FnMut(&ShiftCycle<'_>),
+    ) -> ShiftStats {
+        PackedScanShiftSim::new(n)
+            .run(n, patterns, config, propagation, None, observer)
+            .expect("a replay without a cancel flag never fails")
+    }
 
     #[test]
     fn library_reproduces_figure_2() {
@@ -1022,8 +1013,7 @@ mod tests {
     #[test]
     fn packed_shift_leakage_matches_scalar_observer_bitwise() {
         use scanpower_sim::patterns::random_bool_patterns;
-        use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig};
-        use scanpower_sim::PackedScanShiftSim;
+        use scanpower_sim::scan::ScanShiftSim;
 
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let library = LeakageLibrary::cmos45();
@@ -1045,13 +1035,16 @@ mod tests {
                 }
             });
 
+        // The replay's changed-net delta is stripped, so every shift state
+        // takes the observer's full-gather path.
         let mut packed_average = PackedShiftLeakage::new(&n, &estimator);
-        let packed_stats = PackedScanShiftSim::new(&n).run_with_observer(
-            &n,
-            &patterns,
-            &config,
-            |phase, values, lanes| packed_average.observe(phase, values, lanes),
-        );
+        let packed_stats =
+            packed_replay(&n, &patterns, &config, Propagation::EventDriven, |cycle| {
+                packed_average.observe_cycle(&ShiftCycle {
+                    changed: None,
+                    ..*cycle
+                });
+            });
         let packed_average = packed_average.into_average();
 
         assert_eq!(packed_stats, scalar_stats);
@@ -1072,8 +1065,7 @@ mod tests {
     #[test]
     fn event_driven_delta_observer_matches_scalar_observer_bitwise() {
         use scanpower_sim::patterns::random_bool_patterns;
-        use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig};
-        use scanpower_sim::{PackedScanShiftSim, Propagation};
+        use scanpower_sim::scan::ScanShiftSim;
 
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let library = LeakageLibrary::cmos45();
@@ -1099,10 +1091,9 @@ mod tests {
                     }
                 });
 
-                let sim = PackedScanShiftSim::new(&n);
                 for propagation in [Propagation::EventDriven, Propagation::FullSweep] {
                     let mut observer = PackedShiftLeakage::new(&n, &estimator);
-                    let _ = sim.run_cycles(&n, &patterns, &config, propagation, |cycle| {
+                    packed_replay(&n, &patterns, &config, propagation, |cycle| {
                         observer.observe_cycle(cycle);
                     });
                     let average = observer.into_average();
@@ -1134,8 +1125,7 @@ mod tests {
     fn facts_skipping_observer_matches_scalar_observer_bitwise() {
         use scanpower_lint::LintFacts;
         use scanpower_sim::patterns::random_bool_patterns;
-        use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig};
-        use scanpower_sim::{PackedScanShiftSim, Propagation};
+        use scanpower_sim::scan::ScanShiftSim;
 
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let library = LeakageLibrary::cmos45();
@@ -1167,11 +1157,10 @@ mod tests {
                 }
             });
 
-            let sim = PackedScanShiftSim::new(&n);
             for propagation in [Propagation::EventDriven, Propagation::FullSweep] {
                 let mut packed = PackedShiftLeakage::with_facts(&n, &estimator, &facts);
                 assert_eq!(packed.static_gates_skipped(), facts.static_gate_count());
-                let _ = sim.run_cycles(&n, &patterns, &config, propagation, |cycle| {
+                packed_replay(&n, &patterns, &config, propagation, |cycle| {
                     packed.observe_cycle(cycle);
                 });
                 let packed = packed.into_average();
@@ -1192,8 +1181,6 @@ mod tests {
     fn facts_without_static_gates_are_a_noop() {
         use scanpower_lint::LintFacts;
         use scanpower_sim::patterns::random_bool_patterns;
-        use scanpower_sim::scan::{ScanPattern, ShiftConfig};
-        use scanpower_sim::{PackedScanShiftSim, Propagation};
 
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let library = LeakageLibrary::cmos45();
@@ -1208,14 +1195,13 @@ mod tests {
         let facts = LintFacts::analyze_shift(&n, &config);
         assert_eq!(facts.static_gate_count(), 0);
 
-        let sim = PackedScanShiftSim::new(&n);
         let mut plain = PackedShiftLeakage::new(&n, &estimator);
-        let _ = sim.run_cycles(&n, &patterns, &config, Propagation::EventDriven, |cycle| {
+        packed_replay(&n, &patterns, &config, Propagation::EventDriven, |cycle| {
             plain.observe_cycle(cycle);
         });
         let mut with_facts = PackedShiftLeakage::with_facts(&n, &estimator, &facts);
         assert_eq!(with_facts.static_gates_skipped(), 0);
-        let _ = sim.run_cycles(&n, &patterns, &config, Propagation::EventDriven, |cycle| {
+        packed_replay(&n, &patterns, &config, Propagation::EventDriven, |cycle| {
             with_facts.observe_cycle(cycle);
         });
         assert_eq!(

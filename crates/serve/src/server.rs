@@ -39,6 +39,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use scanpower_cache::ResultCache;
+use scanpower_core::error::ExperimentError;
 use scanpower_core::experiment::{run_netlists_streamed, ExperimentOptions, ResultCacheHandle};
 use scanpower_netlist::Netlist;
 use scanpower_sim::failpoint;
@@ -278,7 +279,7 @@ impl ServerInner {
         if let Some(busy) = self.busy(&self.queue.lock().expect("queue lock")) {
             return busy;
         }
-        let netlists = match resolve_circuits(&spec.circuits) {
+        let netlists = match resolve_circuits(&spec.circuits, spec.options.limits.max_gates) {
             Ok(netlists) => netlists,
             Err(message) => return Response::Error { message },
         };
@@ -435,24 +436,46 @@ impl ServerInner {
 /// explains (deterministically) why the submission is rejected. Spec
 /// generation runs under `catch_unwind` so an adversarial spec cannot
 /// take the session down.
-fn resolve_circuits(sources: &[CircuitSource]) -> Result<Vec<Netlist>, String> {
+///
+/// The job's gate ceiling (`max_gates`) is checked before a family is
+/// generated — generation emits exactly `spec.gates()` gates, so the check
+/// is exact and a refused job never pays for a large generation — and
+/// before a decoded snapshot is queued.
+fn resolve_circuits(
+    sources: &[CircuitSource],
+    max_gates: Option<usize>,
+) -> Result<Vec<Netlist>, String> {
+    let check_gates = |index: usize, circuit: &str, actual: usize| match max_gates {
+        Some(limit) if actual > limit => {
+            let refusal = ExperimentError::ResourceLimit {
+                circuit: circuit.to_owned(),
+                resource: "gates",
+                limit,
+                actual,
+            };
+            Err(format!("circuit {index}: {refusal}"))
+        }
+        _ => Ok(()),
+    };
     let mut netlists = Vec::with_capacity(sources.len());
     for (index, source) in sources.iter().enumerate() {
         let netlist = match source {
             CircuitSource::Family { spec, scale, seed } => {
-                let (spec, seed) = (spec.clone(), *seed);
-                let scale = *scale;
-                catch_unwind(AssertUnwindSafe(move || {
-                    let spec = match scale {
-                        Some(factor) => spec.scaled(factor),
-                        None => spec,
-                    };
-                    spec.generate(seed)
-                }))
-                .map_err(|_| format!("circuit {index}: spec generation failed"))?
+                let spec = match scale {
+                    Some(factor) => spec.scaled(*factor),
+                    None => spec.clone(),
+                };
+                check_gates(index, spec.name(), spec.gates())?;
+                let seed = *seed;
+                catch_unwind(AssertUnwindSafe(move || spec.generate(seed)))
+                    .map_err(|_| format!("circuit {index}: spec generation failed"))?
             }
-            CircuitSource::Snapshot { bytes } => decode_message::<Netlist>(bytes)
-                .map_err(|error| format!("circuit {index}: bad netlist snapshot: {error}"))?,
+            CircuitSource::Snapshot { bytes } => {
+                let netlist = decode_message::<Netlist>(bytes)
+                    .map_err(|error| format!("circuit {index}: bad netlist snapshot: {error}"))?;
+                check_gates(index, netlist.name(), netlist.gate_count())?;
+                netlist
+            }
         };
         netlist
             .validate()
@@ -465,6 +488,7 @@ fn resolve_circuits(sources: &[CircuitSource]) -> Result<Vec<Netlist>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scanpower_core::experiment::ResourceLimits;
     use scanpower_netlist::generator::CircuitFamily;
 
     fn family(name: &str) -> CircuitSource {
@@ -683,6 +707,58 @@ mod tests {
             Response::Error { .. }
         ));
         assert!(!server.run_pending_job(), "nothing was queued");
+    }
+
+    /// The job's gate ceiling refuses an oversized circuit at submit,
+    /// before the family is generated or the snapshot is queued.
+    #[test]
+    fn gate_limit_refuses_before_generation() {
+        let server = Server::new(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        });
+        let options = ExperimentOptions {
+            limits: ResourceLimits {
+                max_gates: Some(1_000),
+                ..ResourceLimits::default()
+            },
+            ..ExperimentOptions::fast()
+        };
+        let submit = |source: CircuitSource| {
+            server.inner.handle(Request::SubmitJob(Box::new(JobSpec {
+                circuits: vec![source],
+                options: options.clone(),
+            })))
+        };
+        let s9234 = CircuitFamily::iscas89_like("s9234").unwrap();
+        let Response::Error { message } = submit(CircuitSource::Family {
+            spec: s9234.clone(),
+            scale: Some(10.0),
+            seed: 1,
+        }) else {
+            panic!("an oversized family must be refused at submit");
+        };
+        assert!(message.contains("gates"), "{message}");
+        assert!(message.contains("1000"), "{message}");
+
+        let too_big = s9234.scaled(0.2);
+        assert!(too_big.gates() > 1_000);
+        let snapshot = too_big.generate(1).to_wire_bytes();
+        assert!(matches!(
+            submit(CircuitSource::Snapshot { bytes: snapshot }),
+            Response::Error { .. }
+        ));
+        assert!(!server.run_pending_job(), "nothing was queued");
+
+        // Within the ceiling the same job is accepted.
+        assert!(matches!(
+            submit(CircuitSource::Family {
+                spec: CircuitFamily::iscas89_like("s27").unwrap(),
+                scale: None,
+                seed: 1,
+            }),
+            Response::JobAccepted { .. }
+        ));
     }
 
     #[test]

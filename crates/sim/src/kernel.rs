@@ -204,6 +204,18 @@ impl PackedWord {
         (self.can0 ^ other.can0) | (self.can1 ^ other.can1)
     }
 
+    /// Number of the first `lanes` lanes whose value differs from
+    /// `other`'s — the masked [`differs`](PackedWord::differs) popcount the
+    /// packed scan replay adds to a net's toggle counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes > 64`.
+    #[must_use]
+    pub fn count_differs(self, other: PackedWord, lanes: usize) -> u32 {
+        (self.differs(other) & PackedWord::lane_mask(lanes)).count_ones()
+    }
+
     /// Shifts every lane up by one position (lane `k` receives lane
     /// `k - 1`'s value) and inserts `lane0` at lane 0. The packed scan
     /// replay uses this to hand each pattern lane its predecessor
@@ -322,103 +334,6 @@ impl LogicWord for PackedWord {
     }
 }
 
-/// A multi-lane [`LogicWord`] whose lanes can be addressed, shifted and
-/// compared individually — the interface the packed scan-shift replay
-/// ([`PackedScanShiftSim`](crate::PackedScanShiftSim)) and the lane-parallel
-/// leakage paths are generic over.
-///
-/// Implemented by [`PackedWord`] (one 64-lane plane pair per polarity).
-/// Everything that only needs Kleene connectives stays generic over plain
-/// [`LogicWord`]; this subtrait adds the operations that peek *inside* the word: per-lane
-/// access, the cross-word lane shift and the masked difference popcount.
-pub trait PackedLogicWord: LogicWord + Eq {
-    /// Number of 64-lane bit-plane words per polarity
-    /// ([`LANES`](LogicWord::LANES)` / 64`, at least 1).
-    const PLANE_WORDS: usize;
-
-    /// Builds a word from up to [`LANES`](LogicWord::LANES) lane values;
-    /// missing lanes are unknown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more lanes are passed than the word carries.
-    #[must_use]
-    fn from_lanes(lanes: &[Logic]) -> Self;
-
-    /// Value of one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= LANES`.
-    #[must_use]
-    fn lane(self, lane: usize) -> Logic;
-
-    /// Sets the value of one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= LANES`.
-    fn set_lane(&mut self, lane: usize, value: Logic);
-
-    /// The `(can0, can1)` bit planes of the 64-lane sub-word `word` —
-    /// lanes `64·word .. 64·word + 64`, bit `k` = lane `64·word + k` (the
-    /// multi-word generalisation of [`PackedWord::bit_planes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word >= PLANE_WORDS`.
-    #[must_use]
-    fn plane_word(self, word: usize) -> (u64, u64);
-
-    /// Shifts every lane up by one position (lane `k` receives lane
-    /// `k - 1`'s value, carrying bit 63 of each plane word into bit 0 of
-    /// the next) and inserts `lane0` at lane 0. The packed scan replay uses
-    /// this to hand each pattern lane its predecessor pattern's capture
-    /// state.
-    #[must_use]
-    fn shifted_lanes(self, lane0: Logic) -> Self;
-
-    /// Number of the first `lanes` lanes whose three-valued value differs
-    /// from `other`'s (`X` only equals `X`) — the masked
-    /// [`PackedWord::differs`] popcount summed across plane words. This is
-    /// how the packed scan replay counts transitions at any width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes > LANES`.
-    #[must_use]
-    fn count_differs(self, other: Self, lanes: usize) -> u32;
-}
-
-impl PackedLogicWord for PackedWord {
-    const PLANE_WORDS: usize = 1;
-
-    fn from_lanes(lanes: &[Logic]) -> PackedWord {
-        PackedWord::from_lanes(lanes)
-    }
-
-    fn lane(self, lane: usize) -> Logic {
-        PackedWord::lane(self, lane)
-    }
-
-    fn set_lane(&mut self, lane: usize, value: Logic) {
-        PackedWord::set_lane(self, lane, value);
-    }
-
-    fn plane_word(self, word: usize) -> (u64, u64) {
-        assert_eq!(word, 0, "a packed word has exactly one plane word");
-        self.bit_planes()
-    }
-
-    fn shifted_lanes(self, lane0: Logic) -> PackedWord {
-        PackedWord::shifted_lanes(self, lane0)
-    }
-
-    fn count_differs(self, other: PackedWord, lanes: usize) -> u32 {
-        (self.differs(other) & PackedWord::lane_mask(lanes)).count_ones()
-    }
-}
-
 /// Evaluates one gate over operands gathered by the caller.
 ///
 /// Together with [`eval_gate_at`] this is the single place in the workspace
@@ -525,63 +440,31 @@ pub const STATE_INDEX_MAX_PINS: usize = 32 / STATE_INDEX_BITS_PER_PIN;
 /// [`STATE_INDEX_BITS_PER_PIN`]). Only `indices[..lanes]` is written;
 /// entries at and beyond `lanes` keep whatever the (reused) buffer held.
 ///
-/// This is the gather behind the lane-parallel leakage table lookup,
-/// generic over the word width: a multi-word lane type is transposed plane
-/// word by plane word ([`lane_state_indices_word`]), so the cost stays one
-/// pass over the set plane bits at any lane count. Consumers that process lanes
-/// in ≤64-lane chunks (to keep a stack-sized index buffer) can call the
-/// per-word primitive directly instead of allocating a full-width slice.
+/// This is the gather behind the lane-parallel leakage table lookup: a
+/// shift-and-clear pass (`trailing_zeros` + `m & (m - 1)`) over the set
+/// plane bits, so the cost follows the number of ones and unknowns, not
+/// the lane count.
 ///
 /// # Panics
 ///
 /// Panics if more than [`STATE_INDEX_MAX_PINS`] pin words are passed,
-/// `lanes > W::LANES`, or `indices` is shorter than `lanes`.
-pub fn lane_state_indices<W: PackedLogicWord>(pins: &[W], lanes: usize, indices: &mut [u32]) {
-    assert!(lanes <= W::LANES, "more lanes than the word carries");
+/// `lanes > 64`, or `indices` is shorter than `lanes`.
+// Called per gate per shift cycle from the leakage crate; `#[inline]` lets
+// it inline across the crate boundary.
+#[inline]
+pub fn lane_state_indices(pins: &[PackedWord], lanes: usize, indices: &mut [u32]) {
+    assert!(
+        pins.len() <= STATE_INDEX_MAX_PINS,
+        "a u32 state index holds at most {STATE_INDEX_MAX_PINS} two-bit pin codes"
+    );
     assert!(
         indices.len() >= lanes,
         "index buffer shorter than the lane count"
     );
-    let mut base = 0;
-    while base < lanes {
-        let take = (lanes - base).min(64);
-        lane_state_indices_word(pins, base / 64, take, &mut indices[base..base + take]);
-        base += take;
-    }
-    // A zero-lane call never reaches the per-word primitive; enforce the
-    // pin cap unconditionally so the contract does not depend on `lanes`.
-    assert!(
-        pins.len() <= STATE_INDEX_MAX_PINS,
-        "a u32 state index holds at most {STATE_INDEX_MAX_PINS} two-bit pin codes"
-    );
-}
-
-/// One-plane-word slice of [`lane_state_indices`]: transposes the first
-/// `lanes` lanes of plane word `word` (circuit states `64·word ..`) into
-/// `indices[..lanes]` — the shared shift-and-clear transpose
-/// (`trailing_zeros` + `m & (m - 1)`) both the full-width gather and the
-/// chunked leakage lookup run, so no second copy of the transpose exists.
-///
-/// # Panics
-///
-/// Panics if more than [`STATE_INDEX_MAX_PINS`] pin words are passed,
-/// `word >= W::PLANE_WORDS`, `lanes > 64`, or `indices` is shorter than
-/// `lanes`.
-pub fn lane_state_indices_word<W: PackedLogicWord>(
-    pins: &[W],
-    word: usize,
-    lanes: usize,
-    indices: &mut [u32],
-) {
-    assert!(
-        pins.len() <= STATE_INDEX_MAX_PINS,
-        "a u32 state index holds at most {STATE_INDEX_MAX_PINS} two-bit pin codes"
-    );
-    assert!(word < W::PLANE_WORDS, "plane word out of range");
     let active = PackedWord::lane_mask(lanes);
     indices[..lanes].fill(0);
     for (pin, pin_word) in pins.iter().enumerate() {
-        let (can0, can1) = pin_word.plane_word(word);
+        let (can0, can1) = pin_word.bit_planes();
         // Lanes that may carry a 1 (known 1 or X) set the low pin bit …
         let mut ones = can1 & active;
         while ones != 0 {
@@ -1167,7 +1050,7 @@ mod tests {
     #[test]
     fn lane_state_indices_zero_pins_yields_zero_indices() {
         let mut indices = [u32::MAX; 64];
-        lane_state_indices::<PackedWord>(&[], 7, &mut indices);
+        lane_state_indices(&[], 7, &mut indices);
         assert!(indices[..7].iter().all(|&i| i == 0));
         assert!(indices[7..].iter().all(|&i| i == u32::MAX));
     }
@@ -1186,31 +1069,6 @@ mod tests {
         let pins = vec![PackedWord::splat(Logic::Zero); STATE_INDEX_MAX_PINS + 1];
         let mut indices = [0u32; 64];
         lane_state_indices(&pins, 0, &mut indices);
-    }
-
-    /// `PackedWord`'s trait implementation must match its inherent methods
-    /// (the 64-lane consumers keep calling the inherent ones).
-    #[test]
-    fn packed_word_trait_impl_matches_inherent_methods() {
-        let mut word = PackedWord::splat(Logic::X);
-        word.set_lane(3, Logic::One);
-        word.set_lane(40, Logic::Zero);
-        let mut other = word;
-        other.set_lane(17, Logic::Zero);
-        other.set_lane(63, Logic::One);
-        assert_eq!(
-            <PackedWord as PackedLogicWord>::plane_word(word, 0),
-            word.bit_planes()
-        );
-        assert_eq!(
-            <PackedWord as PackedLogicWord>::count_differs(word, other, 64),
-            word.differs(other).count_ones()
-        );
-        assert_eq!(
-            <PackedWord as PackedLogicWord>::count_differs(word, other, 18),
-            (word.differs(other) & PackedWord::lane_mask(18)).count_ones()
-        );
-        assert_eq!(PackedWord::PLANE_WORDS, 1);
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! * [`kernel`] — the [`SimKernel`]: cached topological order, input
 //!   mapping and per-net buffers, generic over [`LogicWord`] — one circuit
 //!   state per pass ([`Logic`]) or sixty-four ([`PackedWord`], a two-word
-//!   three-valued bit-parallel encoding; the [`PackedLogicWord`] trait is
-//!   the lane-introspection surface the packed consumers are generic over).
-//!   This module contains the single gate-evaluation implementation of the
-//!   workspace.
+//!   three-valued bit-parallel encoding, the one lane type of the packed
+//!   replay and leakage paths). This module contains the single
+//!   gate-evaluation implementation of the workspace.
 //! * [`Logic`] — three-valued (0/1/X) logic with Kleene semantics.
 //! * [`Evaluator`] — zero-delay scalar evaluation of the combinational part
 //!   from a complete assignment of the combinational inputs.
@@ -88,7 +87,7 @@ mod wire_impls;
 
 pub use eval::Evaluator;
 pub use incremental::IncrementalSim;
-pub use kernel::{DirtyWorklist, LogicWord, PackedLogicWord, PackedWord, SimKernel};
+pub use kernel::{DirtyWorklist, LogicWord, PackedWord, SimKernel};
 pub use logic::Logic;
 pub use parallel::{
     BlockDriver, CancelFlag, Canceled, JobContext, JobError, JobFailure, JobPolicy,

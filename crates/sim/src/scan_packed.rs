@@ -7,23 +7,20 @@
 //! pattern's scan part, so every pattern's capture state — and therefore the
 //! chain contents its successor starts shifting against — is a pure function of
 //! that one pattern. One packed pass over the
-//! [`SimKernel<W>`](crate::SimKernel) computes the capture states of a whole
-//! ≤`W::LANES`-pattern block; shifting each capture word up by one lane
-//! ([`PackedLogicWord::shifted_lanes`]) then hands lane `k` the state pattern
+//! [`SimKernel<PackedWord>`](crate::SimKernel) computes the capture states of
+//! a whole ≤64-pattern block; shifting each capture word up by one lane
+//! ([`PackedWord::shifted_lanes`]) then hands lane `k` the state pattern
 //! `k − 1` left behind, and the per-cycle chain ripple of the whole block
 //! proceeds in lock-step: one topological pass per shift cycle evaluates a
 //! block's worth of circuit states at once.
 //!
-//! The replay engine ([`PackedScanShiftSim::try_run_cycles_wide`]) is
-//! generic over the [`PackedLogicWord`] lane type, and block size,
-//! cross-block carries and partial final blocks all follow `W::LANES`. The
-//! production word is [`PackedWord`] (64 lanes); the entry points
-//! ([`PackedScanShiftSim::run`] and friends) are thin wrappers over the
-//! engine at that width.
+//! [`PackedScanShiftSim::run`] is the one replay entry point: it takes the
+//! [`Propagation`] mode, an optional [`CancelFlag`] and a per-cycle
+//! [`ShiftCycle`] observer.
 //!
 //! Transition counting reduces to popcounts: two consecutive per-net words are
-//! compared with [`PackedLogicWord::count_differs`] (the lane-parallel `!=`
-//! popcount, honouring `X` semantics and summing across plane words) and the
+//! compared with [`PackedWord::count_differs`] (the lane-parallel `!=`
+//! popcount over the active lanes, honouring `X` semantics) and the
 //! result is added to the net's toggle counter. Every counter is an integer and
 //! every lane reproduces the scalar simulator's settled values exactly, so the
 //! resulting [`ShiftStats`] are **bit-identical** to [`ScanShiftSim::run`], and
@@ -44,9 +41,9 @@
 use scanpower_netlist::{NetId, Netlist};
 
 use crate::failpoint;
-use crate::kernel::{DirtyWorklist, PackedLogicWord, PackedWord, SimKernel};
+use crate::kernel::{DirtyWorklist, LogicWord, PackedWord, SimKernel};
 use crate::logic::Logic;
-use crate::parallel::{CancelFlag, Canceled};
+use crate::parallel::{CancelFlag, Canceled, BLOCK_LANES};
 use crate::scan::{ScanPattern, ShiftConfig, ShiftPhase, ShiftStats};
 
 /// How [`PackedScanShiftSim`] propagates each shift cycle through the
@@ -72,22 +69,20 @@ pub enum Propagation {
 }
 
 /// One observed state of the packed scan replay, as handed to the
-/// [`PackedScanShiftSim::run_cycles`] /
-/// [`PackedScanShiftSim::try_run_cycles_wide`] observer.
+/// [`PackedScanShiftSim::run`] observer.
 ///
 /// Lane `k` of every word in [`values`](ShiftCycle::values) is the state of
 /// the block's pattern `k` at this cycle; lanes at or beyond
 /// [`lanes`](ShiftCycle::lanes) are unspecified. Events arrive cycle-major
-/// per ≤`W::LANES`-pattern block: `chain_len` [`ShiftPhase::Shift`] states
+/// per ≤64-pattern block: `chain_len` [`ShiftPhase::Shift`] states
 /// followed by exactly one [`ShiftPhase::Capture`] state, which also marks
-/// the end of the block. The word type defaults to [`PackedWord`] (64
-/// lanes) so 64-lane observers need no type annotations.
+/// the end of the block.
 #[derive(Debug, Clone, Copy)]
-pub struct ShiftCycle<'a, W: PackedLogicWord = PackedWord> {
+pub struct ShiftCycle<'a> {
     /// Which phase of the scan protocol this state belongs to.
     pub phase: ShiftPhase,
     /// One settled packed word per net, indexed by [`NetId::index`].
-    pub values: &'a [W],
+    pub values: &'a [PackedWord],
     /// Number of active lanes (patterns) in the current block.
     pub lanes: usize,
     /// The nets whose packed word differs from the **previous
@@ -127,87 +122,14 @@ impl PackedScanShiftSim {
         }
     }
 
-    /// Runs the scan protocol over `patterns` and returns transition counts.
+    /// Runs the scan protocol over `patterns` and returns transition counts,
+    /// handing every visited packed circuit state to `observer` as a
+    /// [`ShiftCycle`] and polling a cooperative [`CancelFlag`] once per
+    /// ≤64-pattern block.
     ///
-    /// Uses the default [`Propagation::EventDriven`] mode; the bit-identical
-    /// full-sweep cross-check is available through
-    /// [`PackedScanShiftSim::run_cycles`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scanpower_netlist::bench;
-    /// use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig};
-    /// use scanpower_sim::PackedScanShiftSim;
-    ///
-    /// let circuit = bench::parse(bench::S27_BENCH, "s27")?;
-    /// let patterns = vec![
-    ///     ScanPattern::from_bools(&[true, false, true, false], &[true, false, true]),
-    ///     ScanPattern::from_bools(&[false, true, false, true], &[false, true, true]),
-    /// ];
-    /// let config = ShiftConfig::traditional(circuit.dff_count());
-    /// let stats = PackedScanShiftSim::new(&circuit).run(&circuit, &patterns, &config);
-    /// // Bit-identical to the scalar pattern-at-a-time replay.
-    /// assert_eq!(stats, ScanShiftSim::new(&circuit).run(&circuit, &patterns, &config));
-    /// assert_eq!(stats.shift_cycles, patterns.len() * circuit.dff_count());
-    /// # Ok::<(), scanpower_netlist::NetlistError>(())
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pattern's widths or the configuration's widths do not
-    /// match the circuit, or if the combinational part is cyclic.
-    #[must_use]
-    pub fn run(
-        &self,
-        netlist: &Netlist,
-        patterns: &[ScanPattern],
-        config: &ShiftConfig,
-    ) -> ShiftStats {
-        self.run_cycles(netlist, patterns, config, Propagation::default(), |_| {})
-    }
-
-    /// Runs the scan protocol, handing every visited *packed* circuit state
-    /// to `observer` without unpacking to scalar [`Logic`] per cycle.
-    ///
-    /// The observer receives the phase, one settled [`PackedWord`] per net
-    /// (indexed by [`NetId::index`]) and the number of active lanes, with
-    /// the event ordering documented on [`ShiftCycle`]. Observers that must
-    /// reproduce the scalar simulator's pattern-major visit order (e.g. an
-    /// order-sensitive floating-point accumulation) can buffer the
-    /// per-cycle lane values of a block and flush them lane-first on the
-    /// capture event. Observers that can exploit the per-cycle changed-net
-    /// delta should use [`PackedScanShiftSim::run_cycles`] instead; this
-    /// wrapper runs the default [`Propagation::EventDriven`] mode and drops
-    /// the delta.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pattern's widths or the configuration's widths do not
-    /// match the circuit, or if the combinational part is cyclic.
-    pub fn run_with_observer<F>(
-        &self,
-        netlist: &Netlist,
-        patterns: &[ScanPattern],
-        config: &ShiftConfig,
-        mut observer: F,
-    ) -> ShiftStats
-    where
-        F: FnMut(ShiftPhase, &[PackedWord], usize),
-    {
-        self.run_cycles(netlist, patterns, config, Propagation::default(), |cycle| {
-            observer(cycle.phase, cycle.values, cycle.lanes);
-        })
-    }
-
-    /// Runs the scan protocol with an explicit [`Propagation`] mode, handing
-    /// every visited state to `observer` as a [`ShiftCycle`] — the full
-    /// replay entry point behind [`PackedScanShiftSim::run`] and
-    /// [`PackedScanShiftSim::run_with_observer`].
-    ///
-    /// Under [`Propagation::EventDriven`] each shift cycle carries the list
-    /// of nets that changed since the previous shift event (see
-    /// [`ShiftCycle::changed`]), which incremental observers such as
+    /// Under [`Propagation::EventDriven`] (the default) each shift cycle
+    /// carries the list of nets that changed since the previous shift event
+    /// (see [`ShiftCycle::changed`]), which incremental observers such as
     /// `scanpower_power::PackedShiftLeakage` use to re-gather only the
     /// gates whose input state moved. Under [`Propagation::FullSweep`]
     /// every cycle is a full topological pass and `changed` is always
@@ -215,55 +137,47 @@ impl PackedScanShiftSim {
     /// **bit-identical** between the two modes (and to the scalar
     /// [`ScanShiftSim`](crate::scan::ScanShiftSim)).
     ///
-    /// # Panics
-    ///
-    /// Panics if a pattern's widths or the configuration's widths do not
-    /// match the circuit, or if the combinational part is cyclic.
-    pub fn run_cycles<F>(
-        &self,
-        netlist: &Netlist,
-        patterns: &[ScanPattern],
-        config: &ShiftConfig,
-        propagation: Propagation,
-        observer: F,
-    ) -> ShiftStats
-    where
-        F: FnMut(&ShiftCycle<'_>),
-    {
-        match self.try_run_cycles_wide::<PackedWord, F>(
-            netlist,
-            patterns,
-            config,
-            propagation,
-            None,
-            observer,
-        ) {
-            Ok(stats) => stats,
-            Err(Canceled) => unreachable!("a replay without a cancel flag cannot be canceled"),
-        }
-    }
-
-    /// The cancellable replay engine behind every other entry point: runs
-    /// the scan protocol at `W::LANES` patterns per pass with an explicit
-    /// [`Propagation`] mode, handing every visited state to `observer` as a
-    /// [`ShiftCycle<W>`], and polls a cooperative [`CancelFlag`] once per
-    /// ≤`W::LANES`-pattern block.
-    ///
-    /// Block size, cross-block capture carries and the partial final block
-    /// all follow `W::LANES`; the per-block observer flush order (lane-major
-    /// within each block) therefore equals the global pattern-major order,
-    /// which is what keeps order-sensitive floating-point observers
-    /// bit-identical to the scalar replay.
+    /// Blocks arrive in pattern order, so an order-sensitive floating-point
+    /// observer stays bit-identical to the scalar replay by buffering a
+    /// block's per-cycle lane values and flushing them lane-first on the
+    /// capture event.
     ///
     /// Cancellation is block-granular: the replay finishes the block in
     /// flight (so the observer always sees complete blocks) and returns
     /// [`Canceled`] at the next block boundary. With `cancel` `None` the
-    /// replay is infallible.
+    /// replay never fails.
     ///
     /// The `sim::replay::block` failpoint (keyed by block index) fires at
     /// the start of every block and `sim::replay::cycle` (keyed by the
     /// replay-global kernel-pass ordinal) at every shift cycle — compiled
     /// to no-ops without the `fault-inject` feature.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use scanpower_netlist::bench;
+    /// use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig};
+    /// use scanpower_sim::{PackedScanShiftSim, Propagation};
+    ///
+    /// let circuit = bench::parse(bench::S27_BENCH, "s27")?;
+    /// let patterns = vec![
+    ///     ScanPattern::from_bools(&[true, false, true, false], &[true, false, true]),
+    ///     ScanPattern::from_bools(&[false, true, false, true], &[false, true, true]),
+    /// ];
+    /// let config = ShiftConfig::traditional(circuit.dff_count());
+    /// let stats = PackedScanShiftSim::new(&circuit).run(
+    ///     &circuit,
+    ///     &patterns,
+    ///     &config,
+    ///     Propagation::default(),
+    ///     None,
+    ///     |_| {},
+    /// )?;
+    /// // Bit-identical to the scalar pattern-at-a-time replay.
+    /// assert_eq!(stats, ScanShiftSim::new(&circuit).run(&circuit, &patterns, &config));
+    /// assert_eq!(stats.shift_cycles, patterns.len() * circuit.dff_count());
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
     ///
     /// # Errors
     ///
@@ -274,7 +188,7 @@ impl PackedScanShiftSim {
     ///
     /// Panics if a pattern's widths or the configuration's widths do not
     /// match the circuit, or if the combinational part is cyclic.
-    pub fn try_run_cycles_wide<W, F>(
+    pub fn run<F>(
         &self,
         netlist: &Netlist,
         patterns: &[ScanPattern],
@@ -284,8 +198,7 @@ impl PackedScanShiftSim {
         mut observer: F,
     ) -> Result<ShiftStats, Canceled>
     where
-        W: PackedLogicWord,
-        F: FnMut(&ShiftCycle<'_, W>),
+        F: FnMut(&ShiftCycle<'_>),
     {
         let chain_len = self.pseudo_nets.len();
         let pi_count = self.pi_nets.len();
@@ -302,7 +215,7 @@ impl PackedScanShiftSim {
             );
         }
 
-        let mut kernel = SimKernel::<W>::new(netlist);
+        let mut kernel = SimKernel::<PackedWord>::new(netlist);
         let width = kernel.inputs().len();
         debug_assert_eq!(width, pi_count + chain_len);
         let net_count = netlist.net_count();
@@ -318,17 +231,17 @@ impl PackedScanShiftSim {
         // chain (the scalar simulator's initial state).
         let mut carry_chain: Vec<Logic> = vec![Logic::Zero; chain_len];
         let mut carry_prev: Vec<Logic> = {
-            let mut inputs = vec![W::splat(Logic::X); width];
+            let mut inputs = vec![PackedWord::splat(Logic::X); width];
             let initial_pi = match (&config.shift_pi_values, patterns.first()) {
                 (Some(values), _) => values.clone(),
                 (None, Some(first)) => first.pi.clone(),
                 (None, None) => vec![Logic::Zero; pi_count],
             };
             for (slot, value) in inputs[..pi_count].iter_mut().zip(&initial_pi) {
-                *slot = W::splat(*value);
+                *slot = PackedWord::splat(*value);
             }
             for (slot, forced) in inputs[pi_count..].iter_mut().zip(&config.forced_pseudo) {
-                *slot = W::splat(forced.unwrap_or(Logic::Zero));
+                *slot = PackedWord::splat(forced.unwrap_or(Logic::Zero));
             }
             kernel
                 .evaluate(netlist, &inputs)
@@ -338,12 +251,12 @@ impl PackedScanShiftSim {
         };
 
         // Per-block scratch, reused across blocks.
-        let mut prev = vec![W::splat(Logic::X); net_count];
-        let mut inputs = vec![W::splat(Logic::X); width];
-        let forced: Vec<Option<W>> = config
+        let mut prev = vec![PackedWord::splat(Logic::X); net_count];
+        let mut inputs = vec![PackedWord::splat(Logic::X); width];
+        let forced: Vec<Option<PackedWord>> = config
             .forced_pseudo
             .iter()
-            .map(|forced| forced.map(W::splat))
+            .map(|forced| forced.map(PackedWord::splat))
             .collect();
         // Event-driven scratch, reused across cycles and blocks.
         let mut worklist = kernel.make_worklist();
@@ -351,7 +264,7 @@ impl PackedScanShiftSim {
         // Replay-global kernel-pass ordinal, the `sim::replay::cycle` key.
         let mut cycle_ordinal: u64 = 0;
 
-        for (block, chunk) in patterns.chunks(W::LANES).enumerate() {
+        for (block, chunk) in patterns.chunks(BLOCK_LANES).enumerate() {
             if let Some(cancel) = cancel {
                 cancel.checkpoint()?;
             }
@@ -366,7 +279,7 @@ impl PackedScanShiftSim {
             // leaves the chain holding exactly the pattern's scan part, so
             // this one pass yields every pattern's capture state — and, via
             // the D inputs, the chain contents its successor starts from.
-            let mut capture_inputs = vec![W::splat(Logic::X); width];
+            let mut capture_inputs = vec![PackedWord::splat(Logic::X); width];
             for (lane, pattern) in chunk.iter().enumerate() {
                 for (i, &value) in pattern.pi.iter().enumerate() {
                     capture_inputs[i].set_lane(lane, value);
@@ -387,7 +300,7 @@ impl PackedScanShiftSim {
 
             // Chain start: lane k shifts against pattern k−1's captured
             // response (the D-input values of its capture state).
-            let mut chain: Vec<W> = self
+            let mut chain: Vec<PackedWord> = self
                 .d_nets
                 .iter()
                 .zip(&carry_chain)
@@ -399,12 +312,12 @@ impl PackedScanShiftSim {
             match &config.shift_pi_values {
                 Some(values) => {
                     for (slot, &value) in inputs[..pi_count].iter_mut().zip(values) {
-                        *slot = W::splat(value);
+                        *slot = PackedWord::splat(value);
                     }
                 }
                 None => {
                     for slot in inputs[..pi_count].iter_mut() {
-                        *slot = W::splat(Logic::X);
+                        *slot = PackedWord::splat(Logic::X);
                     }
                     for (lane, pattern) in chunk.iter().enumerate() {
                         for (i, &value) in pattern.pi.iter().enumerate() {
@@ -420,7 +333,7 @@ impl PackedScanShiftSim {
             for cycle in 0..chain_len {
                 failpoint::strike("sim::replay::cycle", cycle_ordinal);
                 cycle_ordinal += 1;
-                let mut incoming = W::splat(Logic::X);
+                let mut incoming = PackedWord::splat(Logic::X);
                 for (lane, pattern) in chunk.iter().enumerate() {
                     incoming.set_lane(lane, pattern.scan[chain_len - 1 - cycle]);
                 }
@@ -566,13 +479,16 @@ impl PackedScanShiftSim {
 /// but only when the word actually differs (whole-word comparison, matching
 /// the change detection of [`SimKernel::propagate_from`], so the state
 /// buffer stays exactly equal to a full sweep in every lane).
+// Called per input per shift cycle from `run`, which is instantiated in the
+// caller's crate; `#[inline]` keeps it inlinable there.
+#[inline]
 #[allow(clippy::too_many_arguments)]
-fn seed_changed_input<W: PackedLogicWord>(
-    kernel: &SimKernel<W>,
+fn seed_changed_input(
+    kernel: &SimKernel<PackedWord>,
     net: NetId,
-    word: W,
+    word: PackedWord,
     lanes: usize,
-    prev: &mut [W],
+    prev: &mut [PackedWord],
     worklist: &mut DirtyWorklist,
     changed: &mut Vec<NetId>,
     toggles: &mut [u64],
@@ -639,10 +555,31 @@ mod tests {
             .collect()
     }
 
+    /// The bare replay: default propagation, no cancel flag, no observer.
+    fn packed_stats(
+        netlist: &Netlist,
+        patterns: &[ScanPattern],
+        config: &ShiftConfig,
+    ) -> ShiftStats {
+        replay(netlist, patterns, config, Propagation::default(), |_| {})
+    }
+
+    /// The replay without a cancel flag, which never fails.
+    fn replay(
+        netlist: &Netlist,
+        patterns: &[ScanPattern],
+        config: &ShiftConfig,
+        propagation: Propagation,
+        observer: impl FnMut(&ShiftCycle<'_>),
+    ) -> ShiftStats {
+        PackedScanShiftSim::new(netlist)
+            .run(netlist, patterns, config, propagation, None, observer)
+            .expect("a replay without a cancel flag never fails")
+    }
+
     fn assert_agreement(netlist: &Netlist, patterns: &[ScanPattern], config: &ShiftConfig) {
         let scalar = ScanShiftSim::new(netlist).run(netlist, patterns, config);
-        let packed = PackedScanShiftSim::new(netlist).run(netlist, patterns, config);
-        assert_eq!(packed, scalar);
+        assert_eq!(packed_stats(netlist, patterns, config), scalar);
     }
 
     /// Cooperative cancellation is block-granular and deterministic: a
@@ -650,49 +587,34 @@ mod tests {
     /// block boundary before any observer event, while `None` — and an
     /// untripped flag — replay to completion with bit-identical stats.
     #[test]
-    fn try_run_cycles_wide_polls_the_cancel_flag_at_block_boundaries() {
+    fn run_polls_the_cancel_flag_at_block_boundaries() {
         use crate::parallel::{CancelFlag, Canceled};
         let n = s27();
         let patterns = bool_patterns_for(&n, 150, 11);
         let config = ShiftConfig::traditional(n.dff_count());
         let sim = PackedScanShiftSim::new(&n);
-
-        let tripped = CancelFlag::new();
-        tripped.cancel();
-        let mut events = 0usize;
-        let outcome = sim.try_run_cycles_wide::<PackedWord, _>(
-            &n,
-            &patterns,
-            &config,
-            Propagation::default(),
-            Some(&tripped),
-            |_| events += 1,
-        );
-        assert_eq!(outcome, Err(Canceled));
-        assert_eq!(events, 0, "canceled before the first block's events");
-
-        let expired = CancelFlag::with_deadline(std::time::Duration::ZERO);
-        let outcome = sim.try_run_cycles_wide::<PackedWord, _>(
-            &n,
-            &patterns,
-            &config,
-            Propagation::default(),
-            Some(&expired),
-            |_| {},
-        );
-        assert_eq!(outcome, Err(Canceled));
-
-        let stats = sim
-            .try_run_cycles_wide::<PackedWord, _>(
+        let run = |cancel: &CancelFlag, observer: &mut dyn FnMut(&ShiftCycle<'_>)| {
+            sim.run(
                 &n,
                 &patterns,
                 &config,
                 Propagation::default(),
-                Some(&CancelFlag::new()),
-                |_| {},
+                Some(cancel),
+                observer,
             )
-            .expect("untripped flag never cancels");
-        assert_eq!(stats, sim.run(&n, &patterns, &config));
+        };
+
+        let tripped = CancelFlag::new();
+        tripped.cancel();
+        let mut events = 0usize;
+        assert_eq!(run(&tripped, &mut |_| events += 1), Err(Canceled));
+        assert_eq!(events, 0, "canceled before the first block's events");
+
+        let expired = CancelFlag::with_deadline(std::time::Duration::ZERO);
+        assert_eq!(run(&expired, &mut |_| {}), Err(Canceled));
+
+        let stats = run(&CancelFlag::new(), &mut |_| {}).expect("untripped flag never cancels");
+        assert_eq!(stats, packed_stats(&n, &patterns, &config));
     }
 
     #[test]
@@ -750,7 +672,7 @@ mod tests {
     fn packed_handles_empty_pattern_set() {
         let n = s27();
         let config = ShiftConfig::traditional(n.dff_count());
-        let stats = PackedScanShiftSim::new(&n).run(&n, &[], &config);
+        let stats = packed_stats(&n, &[], &config);
         assert_eq!(stats, ScanShiftSim::new(&n).run(&n, &[], &config));
         assert_eq!(stats.patterns, 0);
         assert_eq!(stats.shift_cycles, 0);
@@ -779,34 +701,35 @@ mod tests {
         let mut cycle_in_block = 0usize;
         let mut captures = 0usize;
         let netlist = &n;
-        PackedScanShiftSim::new(netlist).run_with_observer(
+        replay(
             netlist,
             &patterns,
             &config,
-            |phase, values, lanes| {
-                for lane in 0..lanes {
+            Propagation::default(),
+            |cycle| {
+                for lane in 0..cycle.lanes {
                     let pattern = block_start_pattern + lane;
                     let index = pattern * per_pattern
-                        + match phase {
+                        + match cycle.phase {
                             ShiftPhase::Shift => cycle_in_block,
                             ShiftPhase::Capture => chain_len,
                         };
                     let (scalar_phase, scalar_values) = &scalar_states[index];
-                    assert_eq!(phase, *scalar_phase);
+                    assert_eq!(cycle.phase, *scalar_phase);
                     for net in netlist.net_ids() {
                         assert_eq!(
-                            values[net.index()].lane(lane),
+                            cycle.values[net.index()].lane(lane),
                             scalar_values[net.index()],
                             "pattern {pattern} net {}",
                             netlist.net(net).name
                         );
                     }
                 }
-                match phase {
+                match cycle.phase {
                     ShiftPhase::Shift => cycle_in_block += 1,
                     ShiftPhase::Capture => {
                         captures += 1;
-                        block_start_pattern += lanes;
+                        block_start_pattern += cycle.lanes;
                         cycle_in_block = 0;
                     }
                 }
@@ -827,17 +750,15 @@ mod tests {
         patterns: &[ScanPattern],
         config: &ShiftConfig,
     ) {
-        let sim = PackedScanShiftSim::new(netlist);
         let mut sweep_states: Vec<(ShiftPhase, Vec<PackedWord>, usize)> = Vec::new();
-        let sweep_stats =
-            sim.run_cycles(netlist, patterns, config, Propagation::FullSweep, |cycle| {
-                assert!(cycle.changed.is_none(), "full sweep never claims a delta");
-                sweep_states.push((cycle.phase, cycle.values.to_vec(), cycle.lanes));
-            });
+        let sweep_stats = replay(netlist, patterns, config, Propagation::FullSweep, |cycle| {
+            assert!(cycle.changed.is_none(), "full sweep never claims a delta");
+            sweep_states.push((cycle.phase, cycle.values.to_vec(), cycle.lanes));
+        });
 
         let mut index = 0usize;
         let mut last_shift: Option<Vec<PackedWord>> = None;
-        let event_stats = sim.run_cycles(
+        let event_stats = replay(
             netlist,
             patterns,
             config,

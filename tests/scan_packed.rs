@@ -69,7 +69,16 @@ fn ternary_patterns(netlist: &Netlist, count: usize, seed: u64) -> Vec<ScanPatte
 
 fn assert_replay_agreement(netlist: &Netlist, patterns: &[ScanPattern], config: &ShiftConfig) {
     let scalar = ScanShiftSim::new(netlist).run(netlist, patterns, config);
-    let packed = PackedScanShiftSim::new(netlist).run(netlist, patterns, config);
+    let packed = PackedScanShiftSim::new(netlist)
+        .run(
+            netlist,
+            patterns,
+            config,
+            Propagation::default(),
+            None,
+            |_| {},
+        )
+        .expect("no cancel flag");
     assert_eq!(packed, scalar);
 }
 
@@ -199,9 +208,11 @@ fn reference_replays(
                 } else {
                     PackedShiftLeakage::new(netlist, &estimator)
                 };
-                let stats = sim.run_cycles(netlist, patterns, config, propagation, |cycle| {
-                    observer.observe_cycle(cycle);
-                });
+                let stats = sim
+                    .run(netlist, patterns, config, propagation, None, |cycle| {
+                        observer.observe_cycle(cycle);
+                    })
+                    .expect("no cancel flag");
                 references.push(replayed(
                     format!("packed {propagation:?} / {lookup:?} / facts skip {skip}"),
                     netlist,

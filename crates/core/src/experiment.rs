@@ -8,6 +8,7 @@
 //! improvement percentages of the proposed structure over both baselines.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -141,33 +142,53 @@ pub struct ResourceLimits {
 /// both disabled), and the default is disabled — caching is strictly
 /// opt-in. Cloning the options clones the handle cheaply (an [`Arc`]
 /// bump), so every worker thread of a sharded run shares one cache.
+///
+/// Each handle built by [`ResultCacheHandle::new`] also owns a row-hit
+/// counter, shared by its clones: [`row_hits`](ResultCacheHandle::row_hits)
+/// counts the rows served from either cache tier through this handle only,
+/// however many other handles share the cache.
 #[derive(Clone, Default, Serialize, Deserialize)]
-pub struct ResultCacheHandle(#[serde(skip)] Option<Arc<ResultCache>>);
+pub struct ResultCacheHandle {
+    #[serde(skip)]
+    cache: Option<Arc<ResultCache>>,
+    #[serde(skip)]
+    row_hits: Arc<AtomicU64>,
+}
 
 impl ResultCacheHandle {
     /// The disabled handle (the default): every lookup misses statically
     /// and nothing is stored.
     #[must_use]
     pub fn disabled() -> ResultCacheHandle {
-        ResultCacheHandle(None)
+        ResultCacheHandle::default()
     }
 
-    /// Wraps a shared cache.
+    /// Wraps a shared cache, with a fresh row-hit counter.
     #[must_use]
     pub fn new(cache: Arc<ResultCache>) -> ResultCacheHandle {
-        ResultCacheHandle(Some(cache))
+        ResultCacheHandle {
+            cache: Some(cache),
+            row_hits: Arc::default(),
+        }
     }
 
     /// The cache, when enabled.
     #[must_use]
     pub fn get(&self) -> Option<&ResultCache> {
-        self.0.as_deref()
+        self.cache.as_deref()
     }
 
     /// `true` when a cache is attached.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
+        self.cache.is_some()
+    }
+
+    /// Rows served from the cache (memory or disk tier) through this
+    /// handle and its clones.
+    #[must_use]
+    pub fn row_hits(&self) -> u64 {
+        self.row_hits.load(Ordering::Relaxed)
     }
 }
 
@@ -179,7 +200,7 @@ impl From<Arc<ResultCache>> for ResultCacheHandle {
 
 impl PartialEq for ResultCacheHandle {
     fn eq(&self, other: &ResultCacheHandle) -> bool {
-        match (&self.0, &other.0) {
+        match (&self.cache, &other.cache) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             (None, None) => true,
             _ => false,
@@ -189,7 +210,7 @@ impl PartialEq for ResultCacheHandle {
 
 impl fmt::Debug for ResultCacheHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
+        match &self.cache {
             Some(cache) => f.debug_tuple("ResultCacheHandle").field(cache).finish(),
             None => f.write_str("ResultCacheHandle(disabled)"),
         }
@@ -570,6 +591,10 @@ impl CircuitExperiment {
                         });
                     }
                 }
+                self.options
+                    .result_cache
+                    .row_hits
+                    .fetch_add(1, Ordering::Relaxed);
                 return Ok(row);
             }
         }

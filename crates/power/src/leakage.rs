@@ -231,8 +231,9 @@ impl LeakageEstimator {
     ///
     /// One topological simulation pass feeds up to 64 leakage
     /// evaluations — this is the lane-parallel path behind the Monte-Carlo
-    /// minimum-leakage vector search and the packed scan-shift static-power
-    /// observer.
+    /// minimum-leakage vector search. The packed scan-shift observer
+    /// ([`PackedShiftLeakage`]) adds the same floats in the same order from
+    /// its cached lane state codes.
     ///
     /// # Panics
     ///
@@ -291,12 +292,13 @@ impl LeakageEstimator {
     /// circuit states of a packed simulation result, written into
     /// `out[..lanes]` (entries beyond `lanes` are left untouched) — the
     /// per-gate building block of
-    /// [`circuit_leakage_lanes_into`](LeakageEstimator::circuit_leakage_lanes_into),
-    /// exposed so incremental observers
-    /// ([`PackedShiftLeakage::observe_cycle`]) can re-gather only the gates
-    /// whose input state changed. Each written value is exactly the float
-    /// the scalar [`LeakageEstimator::gate_leakage`] would produce for that
-    /// lane's decoded state.
+    /// [`circuit_leakage_lanes_into`](LeakageEstimator::circuit_leakage_lanes_into).
+    /// The scan-shift observer ([`PackedShiftLeakage`]) refills with it the
+    /// private lane table of every gate its one-byte state codes cannot
+    /// describe (more than 4 pins, or a [`LeakageLookup::Scalar`]
+    /// estimator) when the gate's input state changed. Each written value
+    /// is exactly the float the scalar [`LeakageEstimator::gate_leakage`]
+    /// would produce for that lane's decoded state.
     ///
     /// # Panics
     ///
@@ -490,40 +492,48 @@ impl LeakageAverage {
 /// Plugs into the packed replay
 /// ([`PackedScanShiftSim::run`](scanpower_sim::PackedScanShiftSim::run)
 /// via [`PackedShiftLeakage::observe_cycle`]): every [`ShiftPhase::Shift`]
-/// event is evaluated once over all active lanes with the lane-parallel
-/// ternary-table gather (writing into a recycled row buffer — no unpacking
-/// to scalar [`Logic`] and no allocation per cycle in the steady state) and
-/// the per-cycle lane rows are buffered until the block's
-/// [`ShiftPhase::Capture`] event, where they are flushed into the running
-/// [`LeakageAverage`] **lane-first** (pattern 0's cycles, then pattern 1's,
-/// …). That is exactly the order the scalar replay visits its states in, so
-/// the floating-point accumulation — and therefore the reported average
-/// static power — is bit-identical to the scalar path.
+/// event is evaluated once over all active lanes (writing into a recycled
+/// row buffer — no unpacking to scalar [`Logic`] and no allocation per
+/// cycle in the steady state) and the per-cycle lane rows are buffered
+/// until the block's [`ShiftPhase::Capture`] event, where they are flushed
+/// into the running [`LeakageAverage`] **lane-first** (pattern 0's cycles,
+/// then pattern 1's, …). That is exactly the order the scalar replay visits
+/// its states in, so the floating-point accumulation — and therefore the
+/// reported average static power — is bit-identical to the scalar path.
 ///
-/// # The event-driven delta gather
+/// # Lane state codes and the delta gather
 ///
-/// When the replay supplies a changed-net delta
-/// ([`ShiftCycle::changed`]), the observer keeps a per-gate **contribution
-/// cache** (each gate's 64 per-lane leakage values from the
-/// previous cycle) and re-gathers only the gates that read a changed net;
-/// every other gate's contribution is reused from the cache. Naïve floating-point
-/// *delta accumulation* (`row − old + new`) would change the summation
-/// order and break bit-identity, so the per-lane row is instead always
-/// re-summed over the cached contributions **gate by gate, in netlist
-/// order** — the identical floats added in the identical order the full
-/// gather uses, which keeps the average bit-identical while skipping the
-/// expensive bit-plane transposes and table loads for settled gates. A
-/// cycle with an empty delta reuses the previous row outright.
+/// The observer caches, per gate, one **state code byte per lane** rather
+/// than the lane's leakage float: the 2-bit-per-pin ternary code of
+/// [`lane_state_bytes`](scanpower_sim::kernel::lane_state_bytes) for gates
+/// of at most 4 pins, which indexes the estimator's shared ternary table.
+/// Wider gates, and every gate of a [`LeakageLookup::Scalar`] estimator,
+/// get a private 64-entry lane table refilled by
+/// [`LeakageEstimator::gate_leakage_lanes_into`] and the fixed codes
+/// `0..64`, so every gate is read through the same table indirection. The
+/// codes are stored chunk-major, 8 lanes per `u64`: 64 bytes per gate
+/// instead of 512 bytes of floats.
+///
+/// When the replay supplies a changed-net delta ([`ShiftCycle::changed`])
+/// only the gates that read a changed net re-derive their codes; a cycle
+/// without one re-derives every non-static gate. The row is then re-summed from
+/// `table[code]` **gate by gate, in netlist order**, 8 lanes at a time in
+/// register accumulators. Those are the very floats the full gather of
+/// [`LeakageEstimator::circuit_leakage_lanes_into`] adds, in the same
+/// order, so the row is bit-identical to it — naïve floating-point *delta
+/// accumulation* (`row − old + new`) would re-associate the sum and break
+/// that. A cycle whose delta touches no gate reuses the previous row
+/// outright.
 ///
 /// # Skipping provably-static gates
 ///
-/// [`PackedShiftLeakage::with_facts`] accepts the
-/// [`LintFacts`] of the replay's shift configuration and
-/// skips every gate whose inputs the ternary analysis settled to constants:
-/// the gate's single lane-independent contribution is gathered once at
-/// construction and fed into the row re-sum at the gate's usual netlist
-/// position, so the average stays bit-identical while the per-cycle gather
-/// shrinks to the genuinely toggling part of the circuit.
+/// [`PackedShiftLeakage::with_facts`] accepts the [`LintFacts`] of the
+/// replay's shift configuration. Every gate whose inputs the ternary
+/// analysis settled to constants gets its codes once, from the analysis
+/// values, and is never re-derived; the row sum still reads it at its
+/// usual netlist position, so the average stays bit-identical while the
+/// per-cycle derivation shrinks to the genuinely toggling part of the
+/// circuit.
 ///
 /// # Examples
 ///
@@ -569,37 +579,30 @@ pub struct PackedShiftLeakage<'a> {
     /// place and pushes it back at the capture flush.
     pool: Vec<Vec<f64>>,
     average: LeakageAverage,
-    /// Per-gate per-lane contributions of the previously observed shift
-    /// state, 64 slots per gate (lane-major); only meaningful when
-    /// `cache_lanes` is `Some`.
-    contributions: Vec<f64>,
-    /// `Some(lanes)` when `contributions` matches the previous shift event
-    /// (and that event had `lanes` active lanes); `None` before the first
-    /// gather and whenever a delta-less event forces a full re-gather.
-    cache_lanes: Option<usize>,
-    /// Per-gate epoch stamps deduplicating the dirty marks of one cycle.
-    stamp: Vec<u64>,
-    epoch: u64,
-    /// Scratch: the gates to re-gather this cycle.
-    dirty: Vec<u32>,
-    /// `true` once any event carried a changed-net delta. Until then the
-    /// observer is being fed without deltas (full-sweep propagation, or a
-    /// caller that strips them) and full gathers skip populating the
-    /// contribution cache — the cheapest path when no delta will ever
-    /// consult it.
-    delta_seen: bool,
-    /// Per-gate flag from [`LintFacts`]: `true` for gates whose every input
-    /// is provably constant under the replay's shift configuration. Empty
-    /// when the observer was built without facts.
-    static_gate: Vec<bool>,
-    /// Precomputed per-lane contribution of each static gate (the same
-    /// float in every lane, gathered once at construction).
-    static_value: Vec<f64>,
-    /// Number of `true` entries in `static_gate`.
+    /// Per gate: how its codes are derived.
+    source: Vec<CodeSource>,
+    /// Flattened pin nets: gate `g` reads
+    /// `pin_nets[pin_start[g]..pin_start[g + 1]]`.
+    pin_nets: Vec<u32>,
+    pin_start: Vec<u32>,
+    /// Per gate: where its table starts in `tables`.
+    table_start: Vec<u32>,
+    /// The shared ternary tables of the [`CodeSource::Bytes`] gates, then
+    /// one private 64-entry lane table per [`CodeSource::Lanes`] gate, then
+    /// 256 padding entries.
+    tables: Vec<f64>,
+    /// Chunk-major state codes: `codes[chunk * gate_count + gate]` holds
+    /// the one-byte codes of lanes `8 * chunk..8 * chunk + 8` of `gate`.
+    codes: Vec<u64>,
+    /// `Some(lanes)` when the non-static codes and lane tables describe
+    /// the previous shift event (which had `lanes` active lanes); `None`
+    /// before the first derivation.
+    derived_lanes: Option<usize>,
+    /// Scratch bit set (bit `g % 64` of word `g / 64`) of the gates to
+    /// re-derive this cycle; all clear between cycles.
+    dirty: Vec<u64>,
+    /// Number of [`CodeSource::Static`] gates.
     static_count: usize,
-    /// `true` once the static gates' contribution-cache slots were filled;
-    /// after that every gather skips them entirely.
-    static_primed: bool,
     /// Shift events seen so far — the `power::observer::cycle` failpoint
     /// key.
     observed: u64,
@@ -608,26 +611,83 @@ pub struct PackedShiftLeakage<'a> {
     flushes: u64,
 }
 
+/// 8-lane code chunks per gate (one `u64` of one-byte codes each).
+const CHUNKS: usize = PackedWord::LANES / 8;
+
+/// How [`PackedShiftLeakage`] derives one gate's lane codes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CodeSource {
+    /// At most [`kernel::STATE_BYTE_MAX_PINS`] pins and a shared ternary
+    /// table: byte codes from [`kernel::lane_state_bytes`].
+    Bytes,
+    /// A private lane table refilled by
+    /// [`LeakageEstimator::gate_leakage_lanes_into`], read through the
+    /// fixed codes `0..64`.
+    Lanes,
+    /// Provably constant under the [`LintFacts`]: derived once at
+    /// construction, never re-derived.
+    Static,
+}
+
 impl<'a> PackedShiftLeakage<'a> {
     /// Creates an empty accumulator over `estimator`'s tables.
     #[must_use]
     pub fn new(netlist: &'a Netlist, estimator: &'a LeakageEstimator) -> PackedShiftLeakage<'a> {
+        let gate_count = netlist.gate_count();
+        let mut source = Vec::with_capacity(gate_count);
+        let mut pin_nets = Vec::new();
+        let mut pin_start = Vec::with_capacity(gate_count + 1);
+        let mut table_start = Vec::with_capacity(gate_count);
+        let mut tables = Vec::new();
+        let mut codes = vec![0u64; gate_count * CHUNKS];
+        // Shared ternary table slot -> its start in `tables`.
+        let mut shared_start = vec![None; estimator.ternary_tables.len()];
+        for gate_id in netlist.gate_ids() {
+            let index = gate_id.index();
+            let inputs = &netlist.gate(gate_id).inputs;
+            pin_start.push(pin_nets.len() as u32);
+            pin_nets.extend(inputs.iter().map(|net| net.index() as u32));
+            match estimator.ternary[index] {
+                Some(slot) if inputs.len() <= kernel::STATE_BYTE_MAX_PINS => {
+                    let start = *shared_start[slot].get_or_insert_with(|| {
+                        tables.extend_from_slice(&estimator.ternary_tables[slot]);
+                        tables.len() - estimator.ternary_tables[slot].len()
+                    });
+                    source.push(CodeSource::Bytes);
+                    table_start.push(start as u32);
+                }
+                _ => {
+                    source.push(CodeSource::Lanes);
+                    table_start.push(tables.len() as u32);
+                    tables.resize(tables.len() + PackedWord::LANES, 0.0);
+                    for chunk in 0..CHUNKS {
+                        codes[chunk * gate_count + index] =
+                            u64::from_le_bytes(std::array::from_fn(|byte| {
+                                (8 * chunk + byte) as u8
+                            }));
+                    }
+                }
+            }
+        }
+        pin_start.push(pin_nets.len() as u32);
+        // Padding, so that every table start has a full 256-entry window
+        // for the row sum's check-free byte-indexed loads.
+        tables.resize(tables.len() + 256, 0.0);
         PackedShiftLeakage {
             netlist,
             estimator,
             rows: Vec::new(),
             pool: Vec::new(),
             average: LeakageAverage::new(),
-            contributions: Vec::new(),
-            cache_lanes: None,
-            stamp: vec![0; netlist.gate_count()],
-            epoch: 0,
-            dirty: Vec::new(),
-            delta_seen: false,
-            static_gate: Vec::new(),
-            static_value: Vec::new(),
+            source,
+            pin_nets,
+            pin_start,
+            table_start,
+            tables,
+            codes,
+            derived_lanes: None,
+            dirty: vec![0; gate_count.div_ceil(64)],
             static_count: 0,
-            static_primed: false,
             observed: 0,
             flushes: 0,
         }
@@ -640,11 +700,11 @@ impl<'a> PackedShiftLeakage<'a> {
     /// the replay will run — then every input of a static gate holds its
     /// analysis constant in **every lane of every shift cycle** (ternary
     /// monotonicity: the replay's concrete lane values only refine the
-    /// analysis' `X` assumptions). Each static gate's per-lane contribution
-    /// is therefore one lane-independent float, gathered once here; the
-    /// per-cycle gathers skip those gates and the row re-sum feeds the
-    /// cached constant at the gate's usual position in netlist order, so the
-    /// accumulated average stays bit-identical to the unskipped observer.
+    /// analysis' `X` assumptions). Each static gate's codes are therefore
+    /// derived once here, from the analysis values splatted over all lanes,
+    /// and the row sum reads them at the gate's usual position in netlist
+    /// order, so the accumulated average stays bit-identical to the
+    /// unskipped observer.
     ///
     /// # Panics
     ///
@@ -672,17 +732,12 @@ impl<'a> PackedShiftLeakage<'a> {
             .iter()
             .map(|&value| PackedWord::splat(value))
             .collect();
-        observer.static_gate = vec![false; netlist.gate_count()];
-        observer.static_value = vec![0.0; netlist.gate_count()];
-        let mut out = [0.0f64];
         for gate_id in netlist.gate_ids() {
             if facts.is_static_gate(gate_id) {
-                // One lane with every net splatted to its analysis value
-                // reproduces the exact float any lane of any gather would
-                // compute for this gate (same pin codes, same table load).
-                estimator.gate_leakage_lanes_into(netlist, gate_id, &splat, 1, &mut out);
-                observer.static_gate[gate_id.index()] = true;
-                observer.static_value[gate_id.index()] = out[0];
+                // Every net splatted to its analysis value gives every lane
+                // the pin codes any lane of any shift cycle will carry.
+                observer.derive(gate_id.index(), &splat, PackedWord::LANES);
+                observer.source[gate_id.index()] = CodeSource::Static;
                 observer.static_count += 1;
             }
         }
@@ -697,40 +752,40 @@ impl<'a> PackedShiftLeakage<'a> {
     }
 
     /// Feeds one packed replay event with its changed-net delta (see
-    /// [`ShiftCycle`]): shift states accumulate — through the incremental
-    /// contribution cache when [`ShiftCycle::changed`] is present, through
-    /// a full lane-parallel gather otherwise — and the capture event
-    /// flushes the block in the scalar pattern-major order. Capture states
-    /// themselves are not counted, matching the paper's shift-only static
-    /// power. The resulting average is bit-identical either way.
+    /// [`ShiftCycle`]): shift states accumulate — re-deriving only the
+    /// gates that read a changed net when [`ShiftCycle::changed`] is
+    /// present, every gate otherwise — and the capture event flushes the
+    /// block in the scalar pattern-major order. Capture states themselves
+    /// are not counted, matching the paper's shift-only static power. The
+    /// resulting average is bit-identical either way.
     pub fn observe_cycle(&mut self, cycle: &ShiftCycle<'_>) {
         match cycle.phase {
             ShiftPhase::Shift => {
                 failpoint::strike("power::observer::cycle", self.observed);
                 self.observed += 1;
-                self.delta_seen |= cycle.changed.is_some();
                 let mut row = self.pool.pop().unwrap_or_default();
-                match (cycle.changed, self.cache_lanes) {
-                    (Some(changed), Some(lanes)) if lanes == cycle.lanes => {
-                        self.regather_dirty(changed, cycle, &mut row);
-                    }
-                    // Static gates are skipped through the contribution
-                    // cache, so facts-carrying observers always gather via
-                    // the cache even when no delta will ever arrive.
-                    _ if self.delta_seen || self.static_count > 0 => {
-                        self.full_gather(cycle, &mut row);
+                match cycle.changed {
+                    Some(changed) if self.derived_lanes == Some(cycle.lanes) => {
+                        if !self.mark_dirty(changed) {
+                            if let Some(previous) = self.rows.last() {
+                                // Nothing a gate reads moved: the previous
+                                // row's floats are the sum this cycle would
+                                // recompute.
+                                row.clone_from(previous);
+                                self.rows.push(row);
+                                return;
+                            }
+                        }
+                        self.derive_dirty(cycle.values, cycle.lanes);
                     }
                     _ => {
-                        // No delta has ever been offered: gather straight
-                        // into the row without maintaining the cache.
-                        self.estimator.circuit_leakage_lanes_into(
-                            self.netlist,
-                            cycle.values,
-                            cycle.lanes,
-                            &mut row,
-                        );
+                        for gate in 0..self.source.len() {
+                            self.derive(gate, cycle.values, cycle.lanes);
+                        }
+                        self.derived_lanes = Some(cycle.lanes);
                     }
                 }
+                self.sum_row(cycle.lanes, &mut row);
                 self.rows.push(row);
             }
             ShiftPhase::Capture => {
@@ -746,93 +801,81 @@ impl<'a> PackedShiftLeakage<'a> {
         }
     }
 
-    /// Gathers every gate's per-lane contributions into the cache and sums
-    /// the row gate by gate in netlist order — the exact accumulation of
-    /// [`LeakageEstimator::circuit_leakage_lanes_into`].
-    fn full_gather(&mut self, cycle: &ShiftCycle<'_>, row: &mut Vec<f64>) {
-        let gate_count = self.netlist.gate_count();
-        self.contributions
-            .resize(gate_count * PackedWord::LANES, 0.0);
-        for gate_id in self.netlist.gate_ids() {
-            let slot = gate_id.index() * PackedWord::LANES;
-            if self.static_count > 0 && self.static_gate[gate_id.index()] {
-                // A static gate's contribution never moves: fill its cache
-                // slots once, then skip its table gather forever.
-                if !self.static_primed {
-                    self.contributions[slot..slot + PackedWord::LANES]
-                        .fill(self.static_value[gate_id.index()]);
-                }
-                continue;
-            }
-            self.estimator.gate_leakage_lanes_into(
-                self.netlist,
-                gate_id,
-                cycle.values,
-                cycle.lanes,
-                &mut self.contributions[slot..slot + PackedWord::LANES],
-            );
-        }
-        self.static_primed = true;
-        self.cache_lanes = Some(cycle.lanes);
-        self.sum_contributions(cycle.lanes, row);
-    }
-
-    /// Re-gathers only the gates reading a changed net, then re-sums the
-    /// row in the same gate order as a full gather — identical floats,
-    /// identical order, bit-identical sum.
-    fn regather_dirty(&mut self, changed: &[NetId], cycle: &ShiftCycle<'_>, row: &mut Vec<f64>) {
-        self.epoch += 1;
-        self.dirty.clear();
+    /// Sets the `dirty` bit of every gate reading a changed net; `false`
+    /// when no gate reads one.
+    fn mark_dirty(&mut self, changed: &[NetId]) -> bool {
+        let mut marked = false;
         for &net in changed {
             for &(gate, _) in self.netlist.loads(net) {
-                // Static gates only read constant nets, so they can never be
-                // marked dirty by a real shift delta; the guard is belt and
-                // braces against a caller feeding foreign change lists.
-                if self.static_count > 0 && self.static_gate[gate.index()] {
-                    continue;
-                }
-                let stamp = &mut self.stamp[gate.index()];
-                if *stamp != self.epoch {
-                    *stamp = self.epoch;
-                    self.dirty.push(gate.index() as u32);
-                }
+                self.dirty[gate.index() / 64] |= 1 << (gate.index() % 64);
+                marked = true;
             }
         }
-        if self.dirty.is_empty() {
-            // Nothing a gate reads moved: the previous row's floats are the
-            // sum this cycle would recompute — reuse them outright.
-            if let Some(previous) = self.rows.last() {
-                row.clear();
-                row.extend_from_slice(previous);
-                return;
-            }
-        }
-        for &gate_index in &self.dirty {
-            let slot = gate_index as usize * PackedWord::LANES;
-            self.estimator.gate_leakage_lanes_into(
-                self.netlist,
-                GateId::from_index(gate_index as usize),
-                cycle.values,
-                cycle.lanes,
-                &mut self.contributions[slot..slot + PackedWord::LANES],
-            );
-        }
-        self.sum_contributions(cycle.lanes, row);
+        marked
     }
 
-    /// `row[lane] = Σ_gates contributions[gate][lane]`, gate by gate in
-    /// netlist order — the one accumulation order every leakage path in the
-    /// workspace shares.
-    fn sum_contributions(&self, lanes: usize, row: &mut Vec<f64>) {
-        row.clear();
-        row.resize(lanes, 0.0);
-        for gate_index in 0..self.netlist.gate_count() {
-            let slot = gate_index * PackedWord::LANES;
-            for (total, &contribution) in
-                row.iter_mut().zip(&self.contributions[slot..slot + lanes])
-            {
-                *total += contribution;
+    /// Re-derives every gate whose `dirty` bit is set, clearing the bits.
+    fn derive_dirty(&mut self, values: &[PackedWord], lanes: usize) {
+        for word in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[word]);
+            while bits != 0 {
+                self.derive(word * 64 + bits.trailing_zeros() as usize, values, lanes);
+                bits &= bits - 1;
             }
+        }
+    }
+
+    /// Re-derives `gate`'s codes (or its private lane table) from `values`
+    /// over the first `lanes` lanes. Static gates are left as they are:
+    /// their inputs never change, so a real shift delta never marks them.
+    fn derive(&mut self, gate: usize, values: &[PackedWord], lanes: usize) {
+        match self.source[gate] {
+            CodeSource::Bytes => {
+                let nets = &self.pin_nets
+                    [self.pin_start[gate] as usize..self.pin_start[gate + 1] as usize];
+                let mut pins = [PackedWord::splat(Logic::X); kernel::STATE_BYTE_MAX_PINS];
+                for (word, &net) in pins.iter_mut().zip(nets) {
+                    *word = values[net as usize];
+                }
+                let mut chunks = [0u64; CHUNKS];
+                kernel::lane_state_bytes(&pins[..nets.len()], lanes, &mut chunks);
+                let gate_count = self.source.len();
+                for (chunk, &code) in chunks.iter().enumerate() {
+                    self.codes[chunk * gate_count + gate] = code;
+                }
+            }
+            CodeSource::Lanes => {
+                let start = self.table_start[gate] as usize;
+                self.estimator.gate_leakage_lanes_into(
+                    self.netlist,
+                    GateId::from_index(gate),
+                    values,
+                    lanes,
+                    &mut self.tables[start..start + PackedWord::LANES],
+                );
+            }
+            CodeSource::Static => {}
+        }
+    }
+
+    /// `row[lane] = Σ_gates table[code[gate][lane]]`, gate by gate in
+    /// netlist order — the one accumulation order every leakage path in the
+    /// workspace shares — with 8 lanes summed per pass over the gates.
+    fn sum_row(&self, lanes: usize, row: &mut Vec<f64>) {
+        row.clear();
+        let gate_count = self.source.len();
+        for chunk in 0..lanes.div_ceil(8) {
+            let codes = &self.codes[chunk * gate_count..(chunk + 1) * gate_count];
+            let mut totals = [0.0f64; 8];
+            for (&code, &start) in codes.iter().zip(&self.table_start) {
+                let table: &[f64; 256] = self.tables[start as usize..start as usize + 256]
+                    .try_into()
+                    .expect("every table start has 256 entries after it");
+                for (byte, total) in totals.iter_mut().enumerate() {
+                    *total += table[usize::from((code >> (8 * byte)) as u8)];
+                }
+            }
+            row.extend_from_slice(&totals[..(lanes - 8 * chunk).min(8)]);
         }
     }
 
@@ -1170,6 +1213,116 @@ mod tests {
                     scalar_average.average_na().to_bits(),
                     "{propagation:?} / {lookup:?}: facts-skipping 64-lane average"
                 );
+            }
+        }
+    }
+
+    /// Gates wider than the byte codes hold (5 and 10 pins, with ternary
+    /// tables) and wider than the ternary precompute (11 pins) take the
+    /// observer's private lane tables: the plain and the facts-skipping
+    /// observer must still reproduce the scalar replay's average **bit for
+    /// bit**, with X-carrying patterns, a partial final block, both
+    /// propagation modes and both lookup modes.
+    #[test]
+    fn wide_gate_leakage_observer_matches_scalar_observer_bitwise() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        use scanpower_lint::LintFacts;
+        use scanpower_sim::scan::ScanShiftSim;
+
+        let n = bench::parse(
+            "INPUT(p0)\nINPUT(p1)\nINPUT(p2)\nINPUT(p3)\nINPUT(p4)\nINPUT(p5)\n\
+             OUTPUT(o)\n\
+             q0 = DFF(w5)\nq1 = DFF(w10)\nq2 = DFF(w11)\nq3 = DFF(n3)\n\
+             q4 = DFF(x4)\nq5 = DFF(n5)\nq6 = DFF(o)\nq7 = DFF(q0)\n\
+             w5 = NAND(p0, q0, q1, p1, q2)\n\
+             w10 = NOR(p0, p1, p2, q0, q1, q2, q3, q4, q5, q6)\n\
+             w11 = AND(p1, p2, p3, p4, q1, q2, q3, q4, q5, q6, q7)\n\
+             ws = OR(p0, p2, p3, p4, p5)\n\
+             n3 = NOT(ws)\nx4 = XOR(q3, p5)\nn5 = NAND(w5, w10)\no = OR(w11, q6)\n",
+            "wide",
+        )
+        .unwrap();
+        let gate = |name: &str| n.driver_gate(n.net_by_name(name).unwrap()).unwrap();
+        let fanins: Vec<usize> = ["w5", "w10", "w11", "ws"]
+            .iter()
+            .map(|name| n.gate(gate(name)).fanin())
+            .collect();
+        assert_eq!(fanins, [5, 10, 11, 5]);
+        let library = LeakageLibrary::cmos45();
+        // 10 pins still get a ternary table, 11 fall back to the scalar
+        // enumeration.
+        let lane_parallel = LeakageEstimator::new(&n, &library);
+        assert!(lane_parallel.ternary[gate("w10").index()].is_some());
+        assert!(lane_parallel.ternary[gate("w11").index()].is_none());
+        let pi = n.primary_inputs().len();
+        let ff = n.dff_count();
+        // 70 X-carrying patterns: a full 64-lane block plus a 6-lane tail.
+        let mut rng = ChaCha8Rng::seed_from_u64(0x31de_6a7e);
+        let mut value = || {
+            if rng.gen_bool(0.15) {
+                Logic::X
+            } else {
+                Logic::from_bool(rng.gen_bool(0.5))
+            }
+        };
+        let patterns: Vec<ScanPattern> = (0..70)
+            .map(|_| ScanPattern {
+                pi: (0..pi).map(|_| value()).collect(),
+                scan: (0..ff).map(|_| value()).collect(),
+            })
+            .collect();
+        // Held PIs settle the PI-only 5-pin `ws` (and its inverter).
+        let held = ShiftConfig::with_pi_control(
+            ff,
+            vec![
+                Logic::One,
+                Logic::Zero,
+                Logic::Zero,
+                Logic::Zero,
+                Logic::One,
+                Logic::Zero,
+            ],
+        );
+        let held_facts = LintFacts::analyze_shift(&n, &held);
+        assert!(held_facts.is_static_gate(gate("ws")));
+        assert!(!held_facts.is_static_gate(gate("w11")));
+
+        for lookup in [LeakageLookup::LaneParallel, LeakageLookup::Scalar] {
+            let estimator = LeakageEstimator::with_lookup(&n, &library, lookup);
+            for (config, facts) in [
+                (ShiftConfig::traditional(ff), None),
+                (held.clone(), Some(&held_facts)),
+            ] {
+                let mut scalar_average = LeakageAverage::new();
+                ScanShiftSim::new(&n).run_with_observer(&n, &patterns, &config, |phase, values| {
+                    if phase == ShiftPhase::Shift {
+                        scalar_average.add(estimator.circuit_leakage(&n, values));
+                    }
+                });
+                for propagation in [Propagation::EventDriven, Propagation::FullSweep] {
+                    let mut observers = vec![PackedShiftLeakage::new(&n, &estimator)];
+                    if let Some(facts) = facts {
+                        observers.push(PackedShiftLeakage::with_facts(&n, &estimator, facts));
+                        assert_eq!(
+                            observers[1].static_gates_skipped(),
+                            facts.static_gate_count()
+                        );
+                    }
+                    for mut observer in observers {
+                        let skipped = observer.static_gates_skipped();
+                        packed_replay(&n, &patterns, &config, propagation, |cycle| {
+                            observer.observe_cycle(cycle);
+                        });
+                        let average = observer.into_average();
+                        assert_eq!(average.samples(), scalar_average.samples());
+                        assert_eq!(
+                            average.average_na().to_bits(),
+                            scalar_average.average_na().to_bits(),
+                            "{lookup:?} / {propagation:?} / {skipped} static gates"
+                        );
+                    }
+                }
             }
         }
     }

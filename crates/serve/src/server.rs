@@ -371,7 +371,6 @@ impl ServerInner {
         // Taken out of the entry: the netlists are dropped when the run
         // ends instead of living as long as the job table entry.
         let netlists = std::mem::take(&mut *entry.netlists.lock().expect("netlists lock"));
-        let hits_before = self.cache.stats().hits;
         let streamed = &entry;
         let run = catch_unwind(AssertUnwindSafe(|| {
             run_netlists_streamed(
@@ -405,7 +404,7 @@ impl ServerInner {
                     job: entry.id,
                     rows: outcome.outcomes.len() - failures,
                     failures,
-                    cache_hits: self.cache.stats().hits - hits_before,
+                    cache_hits: entry.options.result_cache.row_hits(),
                 };
                 *entry.state.lock().expect("state lock") = JobState::Done;
                 entry.events.lock().expect("events lock").push_back(done);

@@ -481,6 +481,61 @@ pub fn lane_state_indices(pins: &[PackedWord], lanes: usize, indices: &mut [u32]
     }
 }
 
+/// Maximum number of pin words one [`lane_state_bytes`] call accepts — a
+/// lane's code is one byte, so at most 4 two-bit pin codes fit.
+pub const STATE_BYTE_MAX_PINS: usize = 8 / STATE_INDEX_BITS_PER_PIN;
+
+/// `SPREAD[b]` has bit `8i` set for every set bit `i` of `b`: one plane
+/// byte (8 lanes) spread to one bit per lane byte.
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            if (byte >> bit) & 1 == 1 {
+                table[byte] |= 1 << (8 * bit);
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// Byte-code variant of [`lane_state_indices`] for gates with at most
+/// [`STATE_BYTE_MAX_PINS`] pins: the same 2-bit-per-pin code of lane `l`
+/// lands in byte `l % 8` of `codes[l / 8]` (8 lanes per chunk). Every
+/// chunk is written; the bytes of lanes at and beyond `lanes` are zero.
+///
+/// Branch-free: per pin and chunk, one load from a 256-entry spread table
+/// turns a plane byte into one bit per lane byte, so the cost is
+/// `pins × 16` table loads however many bits are set.
+///
+/// # Panics
+///
+/// Panics if more than [`STATE_BYTE_MAX_PINS`] pin words are passed or
+/// `lanes > 64`.
+#[inline]
+pub fn lane_state_bytes(pins: &[PackedWord], lanes: usize, codes: &mut [u64; 8]) {
+    assert!(
+        pins.len() <= STATE_BYTE_MAX_PINS,
+        "a one-byte state code holds at most {STATE_BYTE_MAX_PINS} two-bit pin codes"
+    );
+    let active = PackedWord::lane_mask(lanes);
+    *codes = [0; 8];
+    for (pin, pin_word) in pins.iter().enumerate() {
+        let (can0, can1) = pin_word.bit_planes();
+        let ones = can1 & active;
+        let unknown = can0 & can1 & active;
+        for (chunk, code) in codes.iter_mut().enumerate() {
+            let shift = 8 * chunk;
+            *code |= SPREAD[((ones >> shift) & 0xff) as usize] << (2 * pin)
+                | SPREAD[((unknown >> shift) & 0xff) as usize] << (2 * pin + 1);
+        }
+    }
+}
+
 /// Reusable scratch state of the event-driven [`SimKernel::propagate_from`]
 /// path: one dirty-gate bucket per logic level plus an epoch-stamped
 /// membership test, so marking a gate twice in a cycle costs one comparison
@@ -1069,6 +1124,54 @@ mod tests {
         let pins = vec![PackedWord::splat(Logic::Zero); STATE_INDEX_MAX_PINS + 1];
         let mut indices = [0u32; 64];
         lane_state_indices(&pins, 0, &mut indices);
+    }
+
+    /// The byte transpose must produce, code by code, the indices of
+    /// `lane_state_indices` — for every pin count it accepts, partial and
+    /// full chunks, and X densities from none to all-X — and zero the bytes
+    /// of inactive lanes.
+    #[test]
+    fn lane_state_bytes_matches_lane_state_indices() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xb17e_c0de);
+        for pin_count in 0..=STATE_BYTE_MAX_PINS {
+            for density in [0.0, 0.2, 1.0] {
+                let pins: Vec<PackedWord> = (0..pin_count)
+                    .map(|_| {
+                        let mut word = PackedWord::splat(Logic::X);
+                        for lane in 0..64 {
+                            if !rng.gen_bool(density) {
+                                word.set_lane(lane, Logic::from_bool(rng.gen_bool(0.5)));
+                            }
+                        }
+                        word
+                    })
+                    .collect();
+                for lanes in [0, 1, 7, 8, 9, 63, 64] {
+                    let mut indices = [0u32; 64];
+                    lane_state_indices(&pins, lanes, &mut indices);
+                    let mut codes = [u64::MAX; 8];
+                    lane_state_bytes(&pins, lanes, &mut codes);
+                    for lane in 0..64 {
+                        let code = (codes[lane / 8] >> (8 * (lane % 8))) & 0xff;
+                        let expected = if lane < lanes { indices[lane] } else { 0 };
+                        assert_eq!(
+                            code,
+                            u64::from(expected),
+                            "pins {pin_count}, density {density}, lanes {lanes}, lane {lane}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one-byte state code")]
+    fn lane_state_bytes_rejects_too_many_pins() {
+        let pins = vec![PackedWord::splat(Logic::Zero); STATE_BYTE_MAX_PINS + 1];
+        let mut codes = [0u64; 8];
+        lane_state_bytes(&pins, 64, &mut codes);
     }
 
     #[test]

@@ -202,6 +202,77 @@ fn tcp_and_local_transports_carry_identical_frames() {
     listener.join().unwrap();
 }
 
+/// `JobDone.cache_hits` counts the rows *this job* was served from the
+/// cache, on either tier: two jobs running side by side on two workers
+/// over one warm cache each report only their own hits, and a fresh server
+/// over the same disk directory reports its disk-tier hits.
+#[test]
+fn job_done_cache_hits_count_only_the_jobs_own_rows_on_either_tier() {
+    let _serial = failpoint::scope();
+    let dir = std::env::temp_dir().join(format!("scanpower-serve-hits-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = Arc::new(ResultCache::with_disk(&dir));
+    let all = [0, 1, 2];
+    let (cold, end) = run_local(&cache, &all, options(1));
+    assert_eq!(job_done_cache_hits(&end), 0);
+
+    // Job `slow` leads with a circuit no run has cached yet, so the warm
+    // job `fast` is typically served while `slow` is still running — the
+    // interleaving the old global-counter difference miscounted. The
+    // expected counts hold under any interleaving.
+    let server = Server::with_cache(
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        Arc::clone(&cache),
+    );
+    let (transport, connector) = LocalTransport::new();
+    let listener = server.spawn_listener(transport);
+    let mut client = ServeClient::new(connector.connect().unwrap());
+    let mut slow_circuits = sources(&[0, 1]);
+    slow_circuits.insert(
+        0,
+        CircuitSource::Family {
+            spec: CircuitFamily::iscas89_like("s1196").unwrap(),
+            scale: SCALE,
+            seed: SEED + 1,
+        },
+    );
+    let mut submit = |circuits: Vec<CircuitSource>| match client
+        .submit(&JobSpec {
+            circuits,
+            options: options(1),
+        })
+        .unwrap()
+    {
+        Response::JobAccepted { job } => job,
+        refused => panic!("submission refused: {refused:?}"),
+    };
+    let slow = submit(slow_circuits);
+    let fast = submit(sources(&all));
+    let fast_end = client.drain_job(fast).unwrap().end;
+    let slow_end = client.drain_job(slow).unwrap().end;
+    assert_eq!(job_done_cache_hits(&fast_end), all.len() as u64);
+    assert_eq!(
+        job_done_cache_hits(&slow_end),
+        2,
+        "the slow job's own warm rows, not the concurrent job's"
+    );
+    drop(client);
+    drop(connector);
+    listener.join().unwrap();
+
+    // A fresh cache over the same directory has a cold memory tier: every
+    // row comes off the disk tier, byte-identical, and counts as a hit.
+    let fresh = Arc::new(ResultCache::with_disk(&dir));
+    let (warm, end) = run_local(&fresh, &all, options(1));
+    assert_eq!(job_done_cache_hits(&end), all.len() as u64);
+    assert_eq!(fresh.stats().disk_hits, all.len() as u64);
+    assert_eq!(warm, cold);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Backpressure is a typed `Busy`, not a hang and not unbounded
 /// buffering: with no workers and a one-slot queue, the second submission
 /// is refused and reports the queue's occupancy.

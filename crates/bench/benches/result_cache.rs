@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use scanpower_bench::{bench_options, BENCH_SCALE};
 use scanpower_cache::ResultCache;
-use scanpower_core::experiment::{run_table1, ExperimentOptions, ResultCacheHandle};
+use scanpower_core::experiment::{run_table1_partial, ExperimentOptions, ResultCacheHandle};
 use scanpower_netlist::generator::CircuitFamily;
 
 fn cache_specs() -> Vec<CircuitFamily> {
@@ -36,7 +36,7 @@ fn result_cache(c: &mut Criterion) {
     // Baseline: the flow with the cache left off entirely.
     let uncached = bench_options();
     group.bench_function("table1_2_circuits_uncached", |b| {
-        b.iter(|| run_table1(&specs, &uncached, scale, 1));
+        b.iter(|| run_table1_partial(&specs, &uncached, scale, 1));
     });
 
     // Cold miss: a fresh cache every iteration, so each run pays the full
@@ -44,7 +44,7 @@ fn result_cache(c: &mut Criterion) {
     group.bench_function("table1_2_circuits_cold_miss", |b| {
         b.iter(|| {
             let cache = Arc::new(ResultCache::in_memory());
-            run_table1(&specs, &with_cache(&cache), scale, 1)
+            run_table1_partial(&specs, &with_cache(&cache), scale, 1)
         });
     });
 
@@ -52,10 +52,11 @@ fn result_cache(c: &mut Criterion) {
     // iteration is served row-by-row from memory, skipping the replay.
     let warm = Arc::new(ResultCache::in_memory());
     let warm_options = with_cache(&warm);
-    let filled = run_table1(&specs, &warm_options, scale, 1);
+    let filled = run_table1_partial(&specs, &warm_options, scale, 1);
+    assert!(filled.is_complete());
     group.bench_function("table1_2_circuits_warm_hit", |b| {
         b.iter(|| {
-            let served = run_table1(&specs, &warm_options, scale, 1);
+            let served = run_table1_partial(&specs, &warm_options, scale, 1);
             assert_eq!(served, filled);
             served
         });
@@ -67,12 +68,12 @@ fn result_cache(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("scanpower-bench-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let fill = Arc::new(ResultCache::with_disk(&dir));
-    let _ = run_table1(&specs, &with_cache(&fill), scale, 1);
+    let _ = run_table1_partial(&specs, &with_cache(&fill), scale, 1);
     drop(fill);
     group.bench_function("table1_2_circuits_disk_hit", |b| {
         b.iter(|| {
             let cache = Arc::new(ResultCache::with_disk(&dir));
-            let served = run_table1(&specs, &with_cache(&cache), scale, 1);
+            let served = run_table1_partial(&specs, &with_cache(&cache), scale, 1);
             assert_eq!(served, filled);
             served
         });

@@ -1,8 +1,9 @@
 //! The typed error taxonomy of the experiment pipeline.
 //!
-//! Every way a `run_table1`-shaped job can fail is a variant of
-//! [`ExperimentError`]: invalid inputs (netlist validation, the lint
-//! preflight, configuration), refused inputs (resource ceilings),
+//! Every way one circuit's job of
+//! [`run_table1_partial`](crate::experiment::run_table1_partial) can fail is
+//! a variant of [`ExperimentError`]: invalid inputs (netlist validation,
+//! the lint preflight, configuration), refused inputs (resource ceilings),
 //! cancellation, and supervised worker failures (an isolated panic or an
 //! injected fault). The `Display` renderings are **deterministic** — the
 //! same failure produces the same message on every run, thread count and

@@ -19,9 +19,7 @@ use scanpower_cache::{CacheKey, KeyBuilder, ResultCache};
 use scanpower_lint::{lint_netlist, LintFacts};
 use scanpower_netlist::generator::CircuitFamily;
 use scanpower_netlist::Netlist;
-use scanpower_power::{
-    DynamicPower, LeakageAverage, LeakageEstimator, LeakageLibrary, PackedShiftLeakage,
-};
+use scanpower_power::{DynamicPower, LeakageEstimator, LeakageLibrary, PackedShiftLeakage};
 use scanpower_sim::failpoint;
 use scanpower_sim::scan::{ScanPattern, ShiftConfig, ShiftStats};
 use scanpower_sim::{
@@ -145,8 +143,8 @@ pub struct ResourceLimits {
 ///
 /// Each handle built by [`ResultCacheHandle::new`] also owns a row-hit
 /// counter, shared by its clones: [`row_hits`](ResultCacheHandle::row_hits)
-/// counts the rows served from either cache tier through this handle only,
-/// however many other handles share the cache.
+/// counts the rows served from the memory or disk tier through this
+/// handle only, however many other handles share the cache.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct ResultCacheHandle {
     #[serde(skip)]
@@ -226,21 +224,15 @@ pub struct ExperimentOptions {
     pub max_patterns: Option<usize>,
     /// Options of the proposed flow.
     pub proposed: ProposedOptions,
-    /// Worker threads for the multi-circuit sharding of [`run_table1`]
-    /// (one circuit per [`BlockDriver`] job): `0` = automatic (one per
-    /// hardware thread, overridable with `SCANPOWER_THREADS` — the shared
+    /// Worker threads for the multi-circuit sharding of
+    /// [`run_table1_partial`] (one circuit per [`BlockDriver`] job): `0` =
+    /// automatic (one per hardware thread, overridable with
+    /// `SCANPOWER_THREADS` — the shared
     /// [`resolve_worker_threads`](scanpower_sim::parallel::resolve_worker_threads)
     /// policy), `1` = the sequential fallback. The report is bit-identical
     /// whatever the count.
     #[serde(default)]
     pub threads: usize,
-    /// Run the [`scanpower_lint`] static-analysis preflight before the
-    /// experiment (the default). [`CircuitExperiment::run`] then refuses —
-    /// with the full lint report — any circuit carrying an Error-severity
-    /// finding (undriven nets, combinational loops, over-pin-limit gates,
-    /// …), instead of failing deep inside the replay kernel.
-    #[serde(default = "default_lint_preflight")]
-    pub lint_preflight: bool,
     /// Resource ceilings checked before any simulation work dispatches —
     /// see [`ResourceLimits`]. Unlimited by default.
     #[serde(default)]
@@ -261,20 +253,15 @@ pub struct ExperimentOptions {
     /// Content-addressed result cache, disabled by default. When a cache is
     /// attached, [`CircuitExperiment::try_run`] looks each circuit's
     /// finished [`CircuitRow`] up by a key over the canonical wire bytes of
-    /// (netlist, semantic options) before running ATPG, and
-    /// [`CircuitExperiment::try_evaluate_scheme_stats`] does the same per
-    /// scheme replay; hits return the stored bytes with the replay skipped
-    /// entirely. Keys deliberately *exclude* `threads` (every thread count
-    /// is pinned byte-identical), so a warm cache serves across thread
-    /// counts; see [`semantic_options_bytes`]. Cached rows are
-    /// byte-identical to recomputed ones because the experiments are
-    /// deterministic — the `cache_identity` CI step pins exactly that.
+    /// (netlist, semantic options) before running ATPG; a hit returns the
+    /// stored row with ATPG and all three replays skipped. The row is the
+    /// only thing the cache stores. Keys deliberately *exclude* `threads`
+    /// (every thread count is pinned byte-identical), so a warm cache
+    /// serves across thread counts; see [`semantic_options_bytes`]. Cached
+    /// rows are byte-identical to recomputed ones because the experiments
+    /// are deterministic — the `cache_identity` CI step pins exactly that.
     #[serde(default, skip)]
     pub result_cache: ResultCacheHandle,
-}
-
-fn default_lint_preflight() -> bool {
-    true
 }
 
 impl Default for ExperimentOptions {
@@ -284,7 +271,6 @@ impl Default for ExperimentOptions {
             max_patterns: None,
             proposed: ProposedOptions::default(),
             threads: 0,
-            lint_preflight: default_lint_preflight(),
             limits: ResourceLimits::default(),
             retries: 0,
             job_deadline_ms: None,
@@ -306,8 +292,9 @@ impl Default for ExperimentOptions {
 ///
 /// * `threads` — every thread count produces byte-identical rows (pinned
 ///   across {1, 3, auto} by the suite).
-/// * `lint_preflight` and `limits.max_gates` — enforced *before* the cache
-///   lookup, so a refused circuit never reaches the cache.
+/// * `limits.max_gates` — enforced *before* the cache lookup (like the
+///   lint preflight, which always runs), so a refused circuit never
+///   reaches the cache.
 /// * `limits.max_replayed_patterns` — enforced *on* cache hits against the
 ///   stored row's pattern count, exactly like a fresh run enforces it
 ///   against the truncated test set.
@@ -329,23 +316,6 @@ fn row_cache_key(netlist_bytes: &[u8], options: &ExperimentOptions) -> CacheKey 
         .part(env!("CARGO_PKG_VERSION").as_bytes())
         .part(netlist_bytes)
         .part(&semantic_options_bytes(options))
-        .finish()
-}
-
-/// The result-cache key of one scheme replay's `(SchemePower, ShiftStats)`.
-/// The replay is a deterministic function of (netlist, patterns, shift
-/// config) alone, so no options enter the key.
-fn scheme_cache_key(netlist: &Netlist, patterns: &[ScanPattern], config: &ShiftConfig) -> CacheKey {
-    let mut pattern_bytes = scanpower_wire::WireWriter::new();
-    pattern_bytes.write_len(patterns.len());
-    for pattern in patterns {
-        pattern.encode_into(&mut pattern_bytes);
-    }
-    KeyBuilder::new("scanpower/scheme-stats/v1")
-        .part(env!("CARGO_PKG_VERSION").as_bytes())
-        .wire(netlist)
-        .part(pattern_bytes.as_bytes())
-        .wire(config)
         .finish()
 }
 
@@ -422,9 +392,11 @@ impl CircuitExperiment {
         self.scheme_stats(netlist, patterns, config, None)
     }
 
-    /// The cancellable scheme replay behind the public entry point: the
-    /// packed replay polls `cancel` once per block
-    /// ([`PackedScanShiftSim::run`]).
+    /// The cancellable scheme replay behind the public entry point: one
+    /// packed pass per 64 patterns, with the lane-aware static-power
+    /// observer riding the per-cycle delta and skipping the gates the
+    /// ternary shift analysis settles. The replay polls `cancel` once per
+    /// block ([`PackedScanShiftSim::run`]).
     fn scheme_stats(
         &self,
         netlist: &Netlist,
@@ -432,33 +404,28 @@ impl CircuitExperiment {
         config: &ShiftConfig,
         cancel: Option<&CancelFlag>,
     ) -> ExperimentResult<(SchemePower, ShiftStats)> {
-        // Content-addressed shortcut: the replay is a deterministic
-        // function of (netlist, patterns, config), so a cached result is
-        // byte-identical to a fresh one.
-        let cache_key = self.options.result_cache.get().map(|cache| {
-            let key = scheme_cache_key(netlist, patterns, config);
-            (cache, key)
-        });
-        if let Some((cache, key)) = &cache_key {
-            if let Some(cached) = cache.get_decoded::<(SchemePower, ShiftStats)>(*key) {
-                return Ok(cached);
-            }
-        }
         let estimator = LeakageEstimator::new(netlist, &self.library);
-        let (stats, leakage) = packed_scheme_replay(netlist, patterns, config, &estimator, cancel)
+        let facts = LintFacts::analyze_shift(netlist, config);
+        let mut leakage = PackedShiftLeakage::with_facts(netlist, &estimator, &facts);
+        let stats = PackedScanShiftSim::new(netlist)
+            .run(
+                netlist,
+                patterns,
+                config,
+                Propagation::EventDriven,
+                cancel,
+                |cycle| leakage.observe_cycle(cycle),
+            )
             .map_err(|Canceled| ExperimentError::Canceled {
                 circuit: netlist.name().to_owned(),
             })?;
         let dynamic = self.dynamic.report(netlist, &stats);
         let power = SchemePower {
             dynamic_per_hz_uw: dynamic.per_hz_uw,
-            static_uw: leakage.average_uw(&self.library),
+            static_uw: leakage.into_average().average_uw(&self.library),
             total_toggles: stats.total_toggles,
             shift_cycles: stats.shift_cycles,
         };
-        if let Some((cache, key)) = cache_key {
-            cache.insert_encoded(key, &(power, stats.clone()));
-        }
         Ok((power, stats))
     }
 
@@ -466,23 +433,22 @@ impl CircuitExperiment {
     ///
     /// # Panics
     ///
-    /// The thin panicking wrapper over [`CircuitExperiment::try_run`]: any
-    /// [`ExperimentError`] — no scan cells, a lint-preflight rejection
-    /// (the panic message carries the full report), a resource ceiling, a
-    /// netlist validation failure — panics with the error's deterministic
-    /// `Display` message.
+    /// The thin panicking wrapper over [`CircuitExperiment::try_run`]
+    /// without a cancellation flag: any [`ExperimentError`] — no scan
+    /// cells, a lint-preflight rejection (the panic message carries the
+    /// full report), a resource ceiling, a netlist validation failure —
+    /// panics with the error's deterministic `Display` message.
     #[must_use]
     pub fn run(&self, netlist: &Netlist) -> CircuitRow {
-        self.try_run(netlist)
+        self.try_run(netlist, None)
             .unwrap_or_else(|error| panic!("{error}"))
     }
 
     /// Runs the static-analysis preflight and refuses — with the full lint
     /// report as [`ExperimentError::Lint`] — any circuit carrying an
-    /// Error-severity finding. [`CircuitExperiment::try_run`] calls this
-    /// when [`ExperimentOptions::lint_preflight`] is on (the default); it
-    /// is public so services can validate a submission without paying for
-    /// an experiment.
+    /// Error-severity finding. [`CircuitExperiment::try_run`] always calls
+    /// this before any simulation; it is public so services can validate a
+    /// submission without paying for an experiment.
     ///
     /// # Errors
     ///
@@ -517,32 +483,21 @@ impl CircuitExperiment {
         Ok(())
     }
 
-    /// The fallible Table I comparison: every failure mode of
-    /// [`CircuitExperiment::run`] comes back as a typed
-    /// [`ExperimentError`] instead of a panic.
+    /// Runs the full Table I comparison for `netlist`, with every failure
+    /// mode as a typed [`ExperimentError`]. A `cancel` flag is polled at
+    /// every scheme boundary and — in the packed replay — at every
+    /// ≤64-pattern block boundary, wound down as a deterministic
+    /// [`ExperimentError::Canceled`]; `None` never cancels.
     ///
     /// # Errors
     ///
     /// Returns [`ExperimentError::NoScanCells`] for circuits without scan
     /// cells, [`ExperimentError::ResourceLimit`] when a
     /// [`ResourceLimits`] ceiling refuses the circuit,
-    /// [`ExperimentError::Lint`] when the preflight (on by default) finds
-    /// Error-severity diagnostics, and [`ExperimentError::Netlist`] when a
-    /// transformation step fails.
-    pub fn try_run(&self, netlist: &Netlist) -> ExperimentResult<CircuitRow> {
-        self.try_run_with_cancel(netlist, None)
-    }
-
-    /// [`CircuitExperiment::try_run`] with cooperative cancellation: the
-    /// flag is polled at every scheme boundary and — in the packed replay —
-    /// at every ≤64-pattern block boundary, wound down as a
-    /// deterministic [`ExperimentError::Canceled`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`CircuitExperiment::try_run`] returns, plus
-    /// [`ExperimentError::Canceled`] once `cancel` trips.
-    pub fn try_run_with_cancel(
+    /// [`ExperimentError::Lint`] when the preflight finds Error-severity
+    /// diagnostics, [`ExperimentError::Netlist`] when a transformation
+    /// step fails, and [`ExperimentError::Canceled`] once `cancel` trips.
+    pub fn try_run(
         &self,
         netlist: &Netlist,
         cancel: Option<&CancelFlag>,
@@ -563,9 +518,7 @@ impl CircuitExperiment {
             });
         }
         self.check_gate_limit(netlist)?;
-        if self.options.lint_preflight {
-            self.lint_preflight(netlist)?;
-        }
+        self.lint_preflight(netlist)?;
         checkpoint()?;
 
         // Content-addressed shortcut, consulted only after the preflight
@@ -666,31 +619,6 @@ impl CircuitExperiment {
         }
         Ok(row)
     }
-}
-
-/// Replays one scheme on the packed simulator, 64 patterns per pass, with
-/// the lane-aware static-power observer riding the per-cycle delta and
-/// skipping the gates the ternary shift analysis settles — the engine
-/// behind [`CircuitExperiment::try_evaluate_scheme_stats`]. `cancel` is
-/// polled once per block by the replay.
-fn packed_scheme_replay(
-    netlist: &Netlist,
-    patterns: &[ScanPattern],
-    config: &ShiftConfig,
-    estimator: &LeakageEstimator,
-    cancel: Option<&CancelFlag>,
-) -> Result<(ShiftStats, LeakageAverage), Canceled> {
-    let facts = LintFacts::analyze_shift(netlist, config);
-    let mut leakage = PackedShiftLeakage::with_facts(netlist, estimator, &facts);
-    let stats = PackedScanShiftSim::new(netlist).run(
-        netlist,
-        patterns,
-        config,
-        Propagation::EventDriven,
-        cancel,
-        |cycle| leakage.observe_cycle(cycle),
-    )?;
-    Ok((stats, leakage.into_average()))
 }
 
 /// A complete Table I reproduction.
@@ -828,7 +756,9 @@ impl Table1Outcome {
     }
 }
 
-/// Runs the Table I experiment over the given circuit specifications.
+/// Runs the Table I experiment over the given circuit specifications, one
+/// outcome per circuit; [`Table1Outcome::into_report`] gives the
+/// all-or-nothing view.
 ///
 /// `scale` optionally shrinks the synthetic circuits (gate and flip-flop
 /// counts) to make smoke runs affordable; `seed` controls the synthetic
@@ -837,8 +767,8 @@ impl Table1Outcome {
 /// Each circuit's generate → ATPG → replay → power flow is independent and
 /// deterministic, so the circuits are sharded across worker threads as one
 /// [`BlockDriver`] job per circuit ([`ExperimentOptions::threads`]; `0` =
-/// automatic, `1` = strictly sequential) and the rows are merged back in
-/// specification order — the report is bit-identical for any thread count.
+/// automatic, `1` = strictly sequential) and the outcomes are merged back
+/// in specification order — bit-identical for any thread count.
 ///
 /// When the outer sharding is active, the per-circuit 64-wide consumers
 /// (`AtpgConfig::threads`, `ProposedOptions::threads`) that are left on
@@ -846,34 +776,15 @@ impl Table1Outcome {
 /// fallback) instead of each resolving to a full hardware-thread count —
 /// without this, a 12-circuit run on an N-core host would contend with up
 /// to N² workers. Explicit non-zero inner counts are respected, and the
-/// budgeting cannot change the report: every inner consumer is
+/// budgeting cannot change the outcome: every inner consumer is
 /// bit-identical for any thread count.
 ///
-/// # Panics
-///
-/// The thin all-or-nothing wrapper over [`run_table1_partial`]: if any
-/// circuit fails, panics with the first (lowest spec index) failure's
-/// deterministic [`ExperimentError`] message.
-#[must_use]
-pub fn run_table1(
-    specs: &[CircuitFamily],
-    options: &ExperimentOptions,
-    scale: Option<f64>,
-    seed: u64,
-) -> Table1Report {
-    run_table1_partial(specs, options, scale, seed)
-        .into_report()
-        .unwrap_or_else(|error| panic!("{error}"))
-}
-
-/// The fault-tolerant sibling of [`run_table1`]: same sharding, same
-/// budgeting, same bit-identity — but each circuit runs as a *supervised*
-/// [`BlockDriver`] job ([`BlockDriver::map_supervised`]) and failures
-/// degrade per circuit instead of tearing the run down.
-///
-/// Per job, the supervision applies [`ExperimentOptions`]' robustness
-/// knobs: panicking attempts are isolated with `catch_unwind` and retried
-/// up to [`retries`](ExperimentOptions::retries) extra times; a
+/// Each circuit runs as a *supervised* [`BlockDriver`] job
+/// ([`BlockDriver::map_supervised`]), so failures degrade per circuit
+/// instead of tearing the run down. Per job, the supervision applies
+/// [`ExperimentOptions`]' robustness knobs: panicking attempts are
+/// isolated with `catch_unwind` and retried up to
+/// [`retries`](ExperimentOptions::retries) extra times; a
 /// [`job_deadline_ms`](ExperimentOptions::job_deadline_ms) deadline is
 /// polled cooperatively at the replay's block boundaries; the
 /// [`limits`](ExperimentOptions::limits) ceilings refuse oversized
@@ -1029,11 +940,11 @@ fn run_streamed(
                     Some(parent) => parent.child(deadline),
                     None => context.cancel_flag().clone(),
                 };
-                experiment.try_run_with_cancel(&circuit, Some(&flag))
+                experiment.try_run(&circuit, Some(&flag))
             });
-        // Errors are final under the default policy (panics are the only
-        // retried failures, and they escape before this point), so the
-        // outcome can stream immediately.
+        // Typed errors are final (panics are the only retried failures,
+        // and they escape before this point), so the outcome can stream
+        // immediately.
         stream
             .lock()
             .expect("row stream poisoned")
@@ -1071,7 +982,7 @@ fn run_streamed(
 mod tests {
     use super::*;
     use scanpower_netlist::bench;
-    use scanpower_power::LeakageLookup;
+    use scanpower_power::{LeakageAverage, LeakageLookup};
 
     #[test]
     fn s27_row_shows_reductions() {
@@ -1095,7 +1006,9 @@ mod tests {
             CircuitFamily::iscas89_like("s344").unwrap(),
             CircuitFamily::iscas89_like("s382").unwrap(),
         ];
-        let report = run_table1(&specs, &ExperimentOptions::fast(), Some(0.5), 1);
+        let report = run_table1_partial(&specs, &ExperimentOptions::fast(), Some(0.5), 1)
+            .into_report()
+            .unwrap();
         assert_eq!(report.rows.len(), 2);
         let text = report.to_table_string();
         assert!(text.contains("s344"));
@@ -1205,8 +1118,8 @@ mod tests {
         assert!(stats.total_toggles > 0);
     }
 
-    /// The lint preflight (on by default) refuses circuits with
-    /// Error-severity findings before any simulation runs.
+    /// The lint preflight refuses circuits with Error-severity findings
+    /// before any simulation runs.
     #[test]
     #[should_panic(expected = "lint preflight rejected")]
     fn lint_preflight_rejects_undriven_nets() {
@@ -1232,7 +1145,9 @@ mod tests {
         n.add_dff(g.output, "q");
         n.mark_output(g.output);
         let experiment = CircuitExperiment::new(ExperimentOptions::fast());
-        let error = experiment.try_run(&n).expect_err("preflight must refuse");
+        let error = experiment
+            .try_run(&n, None)
+            .expect_err("preflight must refuse");
         let ExperimentError::Lint(report) = &error else {
             panic!("expected a lint error, got {error:?}");
         };
@@ -1253,7 +1168,7 @@ mod tests {
         let g = n.add_gate(GateKind::And, &[a, b], "g");
         n.mark_output(g.output);
         let error = CircuitExperiment::new(ExperimentOptions::fast())
-            .try_run(&n)
+            .try_run(&n, None)
             .expect_err("no scan cells");
         assert_eq!(
             error,
@@ -1291,7 +1206,9 @@ mod tests {
             ..ExperimentOptions::fast()
         });
         assert_eq!(
-            gate_limited.try_run(&n).expect_err("over the gate ceiling"),
+            gate_limited
+                .try_run(&n, None)
+                .expect_err("over the gate ceiling"),
             ExperimentError::ResourceLimit {
                 circuit: "s27".into(),
                 resource: "gates",
@@ -1308,7 +1225,7 @@ mod tests {
             ..ExperimentOptions::fast()
         });
         let error = pattern_limited
-            .try_run(&n)
+            .try_run(&n, None)
             .expect_err("over the pattern ceiling");
         let ExperimentError::ResourceLimit {
             resource, limit, ..
@@ -1327,7 +1244,9 @@ mod tests {
             ..ExperimentOptions::fast()
         });
         assert_eq!(
-            at_limit.try_run(&n).expect("at the ceiling is allowed"),
+            at_limit
+                .try_run(&n, None)
+                .expect("at the ceiling is allowed"),
             CircuitExperiment::new(ExperimentOptions::fast()).run(&n),
             "limits must not perturb surviving rows"
         );
@@ -1342,7 +1261,7 @@ mod tests {
         let expired = CancelFlag::with_deadline(Duration::ZERO);
         assert_eq!(
             experiment
-                .try_run_with_cancel(&n, Some(&expired))
+                .try_run(&n, Some(&expired))
                 .expect_err("expired before the first checkpoint"),
             ExperimentError::Canceled {
                 circuit: "s27".into()
@@ -1410,7 +1329,7 @@ mod tests {
             "the ceiling must single out one circuit: {gate_counts:?}"
         );
 
-        let clean = run_table1(
+        let clean = run_table1_partial(
             &specs,
             &ExperimentOptions {
                 threads: 1,
@@ -1418,7 +1337,9 @@ mod tests {
             },
             scale,
             1,
-        );
+        )
+        .into_report()
+        .unwrap();
 
         let options = |threads: usize| ExperimentOptions {
             threads,
@@ -1572,7 +1493,7 @@ mod tests {
         assert_eq!(cold, uncached, "a cold cached run matches uncached");
         assert_eq!(cache.stats().hits, 0);
         let insertions_after_cold = cache.stats().insertions;
-        assert!(insertions_after_cold >= 1, "the row was stored");
+        assert_eq!(insertions_after_cold, 1, "the row is the only entry stored");
 
         let warm = experiment.run(&n);
         assert_eq!(warm, uncached, "a warm run serves the identical row");
@@ -1662,7 +1583,9 @@ mod tests {
             ..ExperimentOptions::fast()
         });
         assert_eq!(
-            limited.try_run(&n).expect_err("ceiling applies to hits"),
+            limited
+                .try_run(&n, None)
+                .expect_err("ceiling applies to hits"),
             ExperimentError::ResourceLimit {
                 circuit: "s27".into(),
                 resource: "patterns",
@@ -1681,7 +1604,7 @@ mod tests {
             CircuitFamily::iscas89_like("s382").unwrap(),
             CircuitFamily::iscas89_like("s444").unwrap(),
         ];
-        let sequential = run_table1(
+        let sequential = run_table1_partial(
             &specs,
             &ExperimentOptions {
                 threads: 1,
@@ -1689,10 +1612,12 @@ mod tests {
             },
             Some(0.3),
             1,
-        );
+        )
+        .into_report()
+        .unwrap();
         assert_eq!(sequential.rows.len(), 3);
         for threads in [0, 2, 3, 8] {
-            let parallel = run_table1(
+            let parallel = run_table1_partial(
                 &specs,
                 &ExperimentOptions {
                     threads,
@@ -1700,7 +1625,9 @@ mod tests {
                 },
                 Some(0.3),
                 1,
-            );
+            )
+            .into_report()
+            .unwrap();
             assert_eq!(parallel, sequential, "threads {threads}");
         }
     }

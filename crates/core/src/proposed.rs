@@ -41,7 +41,7 @@ pub struct ProposedOptions {
     /// [`resolve_worker_threads`](scanpower_sim::parallel::resolve_worker_threads)
     /// policy: `0` = one per available hardware thread, `1` = the
     /// sequential fallback. The flow's result is bit-identical whatever the
-    /// count; `run_table1` budgets this knob when it shards circuits across
+    /// count; `run_table1_partial` budgets this knob when it shards circuits across
     /// an outer driver.
     #[serde(default)]
     pub threads: usize,
@@ -322,7 +322,7 @@ mod tests {
 
     /// The flow's 64-wide consumers are thread-count invariant, so the
     /// whole `ProposedResult` must be identical whatever the `threads`
-    /// knob — this is what lets `run_table1` budget it freely.
+    /// knob — this is what lets `run_table1_partial` budget it freely.
     #[test]
     fn flow_is_identical_across_thread_counts() {
         let circuit = CircuitFamily::iscas89_like("s344").unwrap().generate(3);

@@ -109,7 +109,6 @@ impl Wire for ExperimentOptions {
         self.max_patterns.encode_into(writer);
         self.proposed.encode_into(writer);
         self.threads.encode_into(writer);
-        self.lint_preflight.encode_into(writer);
         self.limits.encode_into(writer);
         self.retries.encode_into(writer);
         self.job_deadline_ms.encode_into(writer);
@@ -120,7 +119,6 @@ impl Wire for ExperimentOptions {
             max_patterns: Option::decode_from(reader)?,
             proposed: ProposedOptions::decode_from(reader)?,
             threads: usize::decode_from(reader)?,
-            lint_preflight: bool::decode_from(reader)?,
             limits: ResourceLimits::decode_from(reader)?,
             retries: u32::decode_from(reader)?,
             job_deadline_ms: Option::decode_from(reader)?,
@@ -180,7 +178,6 @@ mod tests {
         let options = ExperimentOptions {
             max_patterns: Some(17),
             threads: 5,
-            lint_preflight: false,
             limits: ResourceLimits {
                 max_gates: Some(1000),
                 max_replayed_patterns: Some(64),

@@ -1,7 +1,7 @@
 //! Job-service front-end for the scan-power experiment pipeline.
 //!
 //! The ROADMAP's first open item: wrap the one-circuit-per-job
-//! [`run_table1`](scanpower_core::experiment::run_table1) fan-out behind
+//! [`run_table1_partial`](scanpower_core::experiment::run_table1_partial) fan-out behind
 //! a binary protocol so the harness can serve traffic instead of running
 //! batch-style. Three layers, smallest useful surface each:
 //!

@@ -186,18 +186,13 @@ impl CancelFlag {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JobPolicy {
     /// Extra attempts after the first, granted when an attempt **panics**
-    /// (the transient-failure model; a typed `Err` is treated as
-    /// deterministic and not retried unless [`JobPolicy::retry_errors`] is
-    /// set).
+    /// (the transient-failure model; a typed `Err` is deterministic and
+    /// never retried).
     pub retries: u32,
     /// Per-attempt deadline: each attempt gets a fresh [`CancelFlag`] with
     /// this budget, delivered through [`JobContext::cancel_flag`]. `None`
     /// (the default) never cancels.
     pub deadline: Option<Duration>,
-    /// Extend the retry budget to typed `Err` returns as well. Off by
-    /// default: a deterministic pipeline returns the same error on every
-    /// attempt, so retrying it only burns time.
-    pub retry_errors: bool,
 }
 
 impl JobPolicy {
@@ -212,13 +207,6 @@ impl JobPolicy {
     #[must_use]
     pub fn with_deadline(mut self, budget: Duration) -> JobPolicy {
         self.deadline = Some(budget);
-        self
-    }
-
-    /// Also retry attempts that returned a typed `Err`.
-    #[must_use]
-    pub fn retrying_errors(mut self) -> JobPolicy {
-        self.retry_errors = true;
         self
     }
 }
@@ -352,11 +340,7 @@ where
                 message: panic_message(payload.as_ref()),
             },
         };
-        let retriable = match &failure {
-            JobFailure::Panicked { .. } => true,
-            JobFailure::Error(_) => policy.retry_errors,
-        };
-        if !retriable || attempt > policy.retries {
+        if matches!(failure, JobFailure::Error(_)) || attempt > policy.retries {
             return Err(JobError {
                 job,
                 attempts: attempt,
@@ -451,7 +435,7 @@ impl BlockDriver {
     /// * every attempt is isolated with [`std::panic::catch_unwind`]; a
     ///   panic becomes [`JobFailure::Panicked`] with the panic message;
     /// * panicking attempts are retried up to `policy.retries` extra
-    ///   times (typed `Err`s too, if [`JobPolicy::retry_errors`] is set);
+    ///   times (typed `Err`s are deterministic and never retried);
     /// * each attempt receives a fresh [`JobContext`] whose
     ///   [`CancelFlag`] carries the policy deadline — the job polls
     ///   [`JobContext::checkpoint`] at its block boundaries and returns
@@ -899,8 +883,8 @@ mod tests {
         }
     }
 
-    /// Typed errors are deterministic failures: not retried by default,
-    /// retried under `retrying_errors`.
+    /// Typed errors are deterministic failures: never retried, whatever
+    /// the retry budget.
     #[test]
     fn map_supervised_retries_errors_only_when_asked() {
         let attempts = AtomicUsize::new(0);
@@ -913,25 +897,9 @@ mod tests {
             },
         );
         let error = outcomes[0].as_ref().expect_err("job failed");
-        assert_eq!(error.attempts, 1, "typed errors are not retried by default");
+        assert_eq!(error.attempts, 1, "typed errors are not retried");
         assert_eq!(error.failure, JobFailure::Error("deterministic failure"));
         assert_eq!(attempts.load(Ordering::Relaxed), 1);
-
-        let attempts = AtomicUsize::new(0);
-        let outcomes = BlockDriver::sequential().map_supervised(
-            1,
-            JobPolicy::default().with_retries(2).retrying_errors(),
-            |context| -> Result<u32, &'static str> {
-                attempts.fetch_add(1, Ordering::Relaxed);
-                if context.attempt() < 3 {
-                    Err("still warming up")
-                } else {
-                    Ok(context.attempt())
-                }
-            },
-        );
-        assert_eq!(outcomes[0], Ok(3));
-        assert_eq!(attempts.load(Ordering::Relaxed), 3);
     }
 
     /// Deadlines surface through the context's `CancelFlag`: a zero budget

@@ -1,12 +1,10 @@
-//! Canonical wire encodings ([`Wire`]) of the simulation-layer types:
-//! three-valued logic, scan patterns, shift configurations and the replay's
-//! [`ShiftStats`] result. Discriminant bytes are part of the frozen wire
+//! Canonical wire encoding ([`Wire`]) of the simulation layer's
+//! three-valued [`Logic`]. Discriminant bytes are part of the frozen wire
 //! format — append new variants, never renumber.
 
 use scanpower_wire::{Wire, WireError, WireReader, WireWriter};
 
 use crate::logic::Logic;
-use crate::scan::{ScanPattern, ShiftConfig, ShiftStats};
 
 impl Wire for Logic {
     fn encode_into(&self, writer: &mut WireWriter) {
@@ -29,55 +27,9 @@ impl Wire for Logic {
     }
 }
 
-impl Wire for ScanPattern {
-    fn encode_into(&self, writer: &mut WireWriter) {
-        self.pi.encode_into(writer);
-        self.scan.encode_into(writer);
-    }
-    fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ScanPattern {
-            pi: Vec::decode_from(reader)?,
-            scan: Vec::decode_from(reader)?,
-        })
-    }
-}
-
-impl Wire for ShiftConfig {
-    fn encode_into(&self, writer: &mut WireWriter) {
-        self.shift_pi_values.encode_into(writer);
-        self.forced_pseudo.encode_into(writer);
-        self.count_capture.encode_into(writer);
-    }
-    fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ShiftConfig {
-            shift_pi_values: Option::decode_from(reader)?,
-            forced_pseudo: Vec::decode_from(reader)?,
-            count_capture: bool::decode_from(reader)?,
-        })
-    }
-}
-
-impl Wire for ShiftStats {
-    fn encode_into(&self, writer: &mut WireWriter) {
-        self.patterns.encode_into(writer);
-        self.shift_cycles.encode_into(writer);
-        self.toggles.encode_into(writer);
-        self.total_toggles.encode_into(writer);
-    }
-    fn decode_from(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ShiftStats {
-            patterns: usize::decode_from(reader)?,
-            shift_cycles: usize::decode_from(reader)?,
-            toggles: Vec::decode_from(reader)?,
-            total_toggles: u64::decode_from(reader)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scanpower_wire::{decode_message, encode_message};
 
     #[test]
     fn logic_tags_are_frozen() {
@@ -94,42 +46,5 @@ mod tests {
                 tag: 3
             })
         );
-    }
-
-    #[test]
-    fn scan_pattern_with_x_round_trips() {
-        let pattern = ScanPattern {
-            pi: vec![Logic::One, Logic::X, Logic::Zero],
-            scan: vec![Logic::X, Logic::X, Logic::One],
-        };
-        let bytes = encode_message(&pattern);
-        assert_eq!(decode_message::<ScanPattern>(&bytes).unwrap(), pattern);
-    }
-
-    #[test]
-    fn shift_config_round_trips_both_shapes() {
-        for config in [
-            ShiftConfig::traditional(5),
-            ShiftConfig {
-                shift_pi_values: Some(vec![Logic::Zero, Logic::One]),
-                forced_pseudo: vec![Some(Logic::One), None, Some(Logic::Zero)],
-                count_capture: true,
-            },
-        ] {
-            let bytes = encode_message(&config);
-            assert_eq!(decode_message::<ShiftConfig>(&bytes).unwrap(), config);
-        }
-    }
-
-    #[test]
-    fn shift_stats_round_trip() {
-        let stats = ShiftStats {
-            patterns: 16,
-            shift_cycles: 48,
-            toggles: vec![0, 3, u64::MAX, 7],
-            total_toggles: 12345,
-        };
-        let bytes = encode_message(&stats);
-        assert_eq!(decode_message::<ShiftStats>(&bytes).unwrap(), stats);
     }
 }

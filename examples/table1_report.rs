@@ -31,7 +31,7 @@
 use std::sync::Arc;
 
 use scanpower_suite::cache::ResultCache;
-use scanpower_suite::core::experiment::{run_table1, ExperimentOptions, ResultCacheHandle};
+use scanpower_suite::core::experiment::{run_table1_partial, ExperimentOptions, ResultCacheHandle};
 use scanpower_suite::netlist::generator::{CircuitFamily, TABLE1_CIRCUITS};
 use scanpower_suite::sim::BlockDriver;
 
@@ -98,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         Some(scale)
     };
-    let report = run_table1(&specs, &options, scale, seed);
+    let report = run_table1_partial(&specs, &options, scale, seed).into_report()?;
     if let Some(cache) = &cache {
         let stats = cache.stats();
         eprintln!(
@@ -107,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         // A warm pass over the same inputs is served entirely from the
         // cache — one row-level hit per circuit, the replay skipped.
-        let warm = run_table1(&specs, &options, scale, seed);
+        let warm = run_table1_partial(&specs, &options, scale, seed).into_report()?;
         assert_eq!(warm, report, "cached rows are byte-identical");
         let stats = cache.stats();
         eprintln!(

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use scanpower_suite::cache::{CacheStats, ResultCache};
 use scanpower_suite::core::experiment::{
-    run_table1, run_table1_partial, ExperimentOptions, ResultCacheHandle, Table1Outcome,
+    run_table1_partial, ExperimentOptions, ResultCacheHandle, Table1Outcome, Table1Report,
 };
 use scanpower_suite::netlist::generator::CircuitFamily;
 
@@ -23,6 +23,13 @@ fn specs() -> Vec<CircuitFamily> {
 
 const SCALE: Option<f64> = Some(0.3);
 const SEED: u64 = 1;
+
+/// The all-or-nothing report of a run that must complete.
+fn report(options: &ExperimentOptions) -> Table1Report {
+    run_table1_partial(&specs(), options, SCALE, SEED)
+        .into_report()
+        .expect("every circuit survives")
+}
 
 fn options(threads: usize, cache: Option<&Arc<ResultCache>>) -> ExperimentOptions {
     ExperimentOptions {
@@ -75,21 +82,26 @@ fn cache_identity_across_thread_counts() {
     );
 }
 
-/// A warm in-process rerun of `run_table1` returns byte-identical rows with
-/// the replay provably skipped: the hit counter advances by exactly the
-/// circuit count (one row-level hit per circuit, no scheme-level traffic).
+/// A warm in-process rerun returns byte-identical rows with the replay
+/// provably skipped: a cold run stores exactly one entry (the row) per
+/// circuit, and the hit counter then advances by exactly the circuit count.
 #[test]
 fn warm_rerun_is_served_entirely_from_the_cache() {
     let specs = specs();
     let cache = Arc::new(ResultCache::in_memory());
     let opts = options(1, Some(&cache));
 
-    let cold = run_table1(&specs, &opts, SCALE, SEED);
+    let cold = report(&opts);
     let after_cold: CacheStats = cache.stats();
     assert_eq!(after_cold.hits, 0, "nothing to hit on a cold cache");
-    assert!(after_cold.insertions > 0);
+    assert_eq!(
+        after_cold.insertions,
+        specs.len() as u64,
+        "one row stored per circuit"
+    );
+    assert_eq!(after_cold.entries, specs.len(), "one entry per circuit");
 
-    let warm = run_table1(&specs, &opts, SCALE, SEED);
+    let warm = report(&opts);
     assert_eq!(warm, cold, "warm rows are byte-identical");
     let after_warm = cache.stats();
     assert_eq!(
@@ -114,10 +126,10 @@ fn disk_tier_serves_a_fresh_cache_instance() {
     let specs = specs();
 
     let first = Arc::new(ResultCache::with_disk(&dir));
-    let cold = run_table1(&specs, &options(1, Some(&first)), SCALE, SEED);
+    let cold = report(&options(1, Some(&first)));
 
     let second = Arc::new(ResultCache::with_disk(&dir));
-    let warm = run_table1(&specs, &options(3, Some(&second)), SCALE, SEED);
+    let warm = report(&options(3, Some(&second)));
     assert_eq!(warm, cold, "disk-served rows are byte-identical");
     let stats = second.stats();
     assert_eq!(
@@ -156,7 +168,7 @@ fn cache_respects_partial_failure_slots() {
     let cache = Arc::new(ResultCache::in_memory());
     // Warm the cache with an unlimited run first — the oversized circuit's
     // row is now cached, and must STILL be refused under the ceiling.
-    let _ = run_table1(&specs, &options(1, Some(&cache)), SCALE, SEED);
+    let _ = report(&options(1, Some(&cache)));
     let cached = run_table1_partial(&specs, &limited(Some(&cache)), SCALE, SEED);
     assert_eq!(cached, reference, "ceilings hold even against a warm cache");
 }

@@ -21,9 +21,7 @@
 
 use std::time::Duration;
 
-use scanpower_suite::core::experiment::{
-    run_table1, run_table1_partial, ExperimentOptions, Table1Report,
-};
+use scanpower_suite::core::experiment::{run_table1_partial, ExperimentOptions, Table1Report};
 use scanpower_suite::core::ExperimentError;
 use scanpower_suite::netlist::generator::CircuitFamily;
 use scanpower_suite::sim::failpoint::{self, Fault};
@@ -48,7 +46,9 @@ fn options(threads: usize) -> ExperimentOptions {
 
 /// A clean (no faults armed) single-threaded reference run.
 fn clean_reference(specs: &[CircuitFamily]) -> Table1Report {
-    run_table1(specs, &options(1), SCALE, SEED)
+    run_table1_partial(specs, &options(1), SCALE, SEED)
+        .into_report()
+        .expect("clean run")
 }
 
 /// A panic injected into one circuit's supervised job is isolated into

@@ -13,8 +13,8 @@
 //! equality (and `f64::to_bits` equality of the power numbers) — on real
 //! ATPG pattern sets, on ternary (X-carrying) pattern sets with partial
 //! final blocks, under forced pseudo-inputs, PI control values and
-//! `count_capture`, and for the whole `run_table1` report across thread
-//! counts {1, 2, 3, 8, auto}.
+//! `count_capture`, and for the whole `run_table1_partial` report across
+//! thread counts {1, 2, 3, 8, auto}.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -22,7 +22,7 @@ use rand_chacha::ChaCha8Rng;
 use scanpower_suite::atpg::{AtpgConfig, AtpgFlow};
 use scanpower_suite::core::baseline::{traditional_shift_config, InputControlBaseline};
 use scanpower_suite::core::experiment::{
-    run_table1, CircuitExperiment, ExperimentOptions, SchemePower,
+    run_table1_partial, CircuitExperiment, ExperimentOptions, SchemePower,
 };
 use scanpower_suite::core::ProposedMethod;
 use scanpower_suite::lint::LintFacts;
@@ -315,7 +315,7 @@ fn run_table1_is_bit_identical_across_thread_counts_and_replays() {
         CircuitFamily::iscas89_like("s444").unwrap(),
         CircuitFamily::iscas89_like("s510").unwrap(),
     ];
-    let reference = run_table1(
+    let reference = run_table1_partial(
         &specs,
         &ExperimentOptions {
             threads: 1,
@@ -323,14 +323,16 @@ fn run_table1_is_bit_identical_across_thread_counts_and_replays() {
         },
         Some(0.3),
         2,
-    );
+    )
+    .into_report()
+    .unwrap();
     assert_eq!(reference.rows.len(), specs.len());
     for (row, spec) in reference.rows.iter().zip(&specs) {
         assert_eq!(row.circuit, spec.name(), "rows merged in circuit order");
     }
 
     for threads in [2, 3, 8, 0] {
-        let parallel = run_table1(
+        let parallel = run_table1_partial(
             &specs,
             &ExperimentOptions {
                 threads,
@@ -338,7 +340,9 @@ fn run_table1_is_bit_identical_across_thread_counts_and_replays() {
             },
             Some(0.3),
             2,
-        );
+        )
+        .into_report()
+        .unwrap();
         assert_eq!(parallel, reference, "threads {threads}");
     }
 

@@ -1,6 +1,5 @@
 //! Round-trip and rejection tests for the canonical wire encoding across
-//! every layer: netlist substrate, simulation results, experiment options
-//! and rows. The encoding is the foundation of the content-addressed result
+//! every layer: netlist substrate, experiment options and rows. The encoding is the foundation of the content-addressed result
 //! cache, so the properties pinned here — decode(encode(x)) == x, one byte
 //! representation per value, typed rejection of foreign/truncated/stale
 //! payloads — are load-bearing for cache correctness, not just I/O hygiene.
@@ -18,8 +17,6 @@ use scanpower_suite::core::experiment::{
 use scanpower_suite::core::ProposedOptions;
 use scanpower_suite::netlist::generator::CircuitFamily;
 use scanpower_suite::netlist::{bench, GateKind, Netlist};
-use scanpower_suite::sim::scan::{ScanPattern, ShiftConfig, ShiftStats};
-use scanpower_suite::sim::Logic;
 use scanpower_suite::timing::DelayModel;
 use scanpower_suite::wire::{decode_message, encode_message, WireError, WIRE_MAGIC, WIRE_VERSION};
 
@@ -116,54 +113,6 @@ fn bench_parse_vs_snapshot_round_trip() {
     assert_eq!(reparsed.dff_count(), parsed.dff_count());
 }
 
-#[test]
-fn x_carrying_patterns_and_stats_round_trip() {
-    for seed in 0..CASES as u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(0x57a7 ^ seed);
-        let tri = |rng: &mut ChaCha8Rng| match rng.gen_range(0..3u32) {
-            0 => Logic::Zero,
-            1 => Logic::One,
-            _ => Logic::X,
-        };
-        let pattern = ScanPattern {
-            pi: (0..rng.gen_range(0..8)).map(|_| tri(&mut rng)).collect(),
-            scan: (0..rng.gen_range(1..8)).map(|_| tri(&mut rng)).collect(),
-        };
-        assert_eq!(
-            decode_message::<ScanPattern>(&encode_message(&pattern)).unwrap(),
-            pattern,
-            "seed {seed}"
-        );
-
-        let config = ShiftConfig {
-            shift_pi_values: rng
-                .gen_bool(0.5)
-                .then(|| (0..4).map(|_| tri(&mut rng)).collect()),
-            forced_pseudo: (0..rng.gen_range(0..6))
-                .map(|_| rng.gen_bool(0.5).then(|| tri(&mut rng)))
-                .collect(),
-            count_capture: rng.gen_bool(0.5),
-        };
-        assert_eq!(
-            decode_message::<ShiftConfig>(&encode_message(&config)).unwrap(),
-            config,
-            "seed {seed}"
-        );
-
-        let stats = ShiftStats {
-            patterns: rng.gen_range(0..1000),
-            shift_cycles: rng.gen_range(0..10_000),
-            toggles: (0..rng.gen_range(0..64)).map(|_| rng.gen()).collect(),
-            total_toggles: rng.gen(),
-        };
-        assert_eq!(
-            decode_message::<ShiftStats>(&encode_message(&stats)).unwrap(),
-            stats,
-            "seed {seed}"
-        );
-    }
-}
-
 /// Every [`ExperimentOptions`] knob survives the round trip — except the
 /// result-cache handle, which is runtime state and deliberately comes back
 /// disabled.
@@ -200,7 +149,6 @@ fn experiment_options_round_trip_all_knobs() {
                 threads: rng.gen_range(0..8),
             },
             threads: rng.gen_range(0..8),
-            lint_preflight: rng.gen_bool(0.5),
             limits: ResourceLimits {
                 max_gates: rng.gen_bool(0.5).then(|| rng.gen_range(0..100_000)),
                 max_replayed_patterns: rng.gen_bool(0.5).then(|| rng.gen_range(0..10_000)),
@@ -237,8 +185,9 @@ fn decode_rejects_a_wrong_version() {
     let mut bytes = netlist.to_wire_bytes();
     assert_eq!(&bytes[..4], WIRE_MAGIC.as_slice());
     // The version is the little-endian u16 right after the magic. Both a
-    // future build's frames and the previous layout's (version 1, before
-    // `ExperimentOptions` shrank) get the typed refusal.
+    // future build's frames and the previous layout's (version 2, before
+    // `ExperimentOptions` lost its lint-preflight toggle) get the typed
+    // refusal.
     for stale in [WIRE_VERSION - 1, WIRE_VERSION + 1] {
         bytes[4..6].copy_from_slice(&stale.to_le_bytes());
         assert_eq!(

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use scanpower_bench::{bench_circuit, bench_options_with, run_comparison};
 use scanpower_core::ProposedOptions;
 use scanpower_power::{reorder, LeakageLibrary};
-use scanpower_sim::{Evaluator, Logic};
+use scanpower_sim::{Logic, SimKernel};
 
 fn ablation_reorder(c: &mut Criterion) {
     let circuit = bench_circuit("s1238");
@@ -32,14 +32,14 @@ fn ablation_reorder(c: &mut Criterion) {
 
     // Bench the reordering pass itself on a fixed circuit state.
     let library = LeakageLibrary::cmos45();
-    let evaluator = Evaluator::new(&circuit);
-    let values = evaluator.evaluate(&circuit, &vec![Logic::Zero; evaluator.inputs().len()]);
+    let mut kernel = SimKernel::<Logic>::new(&circuit);
+    let values = kernel.evaluate(&circuit, &vec![Logic::Zero; kernel.inputs().len()]);
     let mut group = c.benchmark_group("ablation_reorder");
     group.sample_size(20);
     group.bench_function("reorder_pass", |b| {
         b.iter_batched(
             || circuit.clone(),
-            |mut netlist| reorder::optimize(&mut netlist, &library, &values),
+            |mut netlist| reorder::optimize(&mut netlist, &library, values),
             criterion::BatchSize::SmallInput,
         );
     });

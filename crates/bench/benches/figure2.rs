@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scanpower_bench::bench_circuit;
 use scanpower_netlist::GateKind;
 use scanpower_power::{LeakageEstimator, LeakageLibrary};
-use scanpower_sim::{Evaluator, Logic};
+use scanpower_sim::{Logic, SimKernel};
 
 fn figure2(c: &mut Criterion) {
     let library = LeakageLibrary::cmos45();
@@ -36,10 +36,10 @@ fn figure2(c: &mut Criterion) {
 
     let circuit = bench_circuit("s641");
     let estimator = LeakageEstimator::new(&circuit, &library);
-    let evaluator = Evaluator::new(&circuit);
-    let values = evaluator.evaluate(&circuit, &vec![Logic::Zero; evaluator.inputs().len()]);
+    let mut kernel = SimKernel::<Logic>::new(&circuit);
+    let values = kernel.evaluate(&circuit, &vec![Logic::Zero; kernel.inputs().len()]);
     c.bench_function("figure2/circuit_leakage_s641", |b| {
-        b.iter(|| estimator.circuit_leakage(black_box(&circuit), black_box(&values)));
+        b.iter(|| estimator.circuit_leakage(black_box(&circuit), black_box(values)));
     });
 }
 

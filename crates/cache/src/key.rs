@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use scanpower_wire::{ContentHasher, Wire};
+use scanpower_wire::ContentHasher;
 
 /// A 128-bit content address of a cached result.
 ///
@@ -68,13 +68,6 @@ impl KeyBuilder {
         self
     }
 
-    /// Folds a [`Wire`]-encodable value in as one part (its canonical
-    /// message bytes).
-    #[must_use]
-    pub fn wire<T: Wire>(self, value: &T) -> KeyBuilder {
-        self.part(&value.to_wire_bytes())
-    }
-
     /// Finishes the key.
     #[must_use]
     pub fn finish(self) -> CacheKey {
@@ -100,14 +93,6 @@ mod tests {
         let ab_c = KeyBuilder::new("d").part(b"ab").part(b"c").finish();
         let a_bc = KeyBuilder::new("d").part(b"a").part(b"bc").finish();
         assert_ne!(ab_c, a_bc);
-    }
-
-    #[test]
-    fn wire_part_equals_encoded_bytes_part() {
-        let value = 7u64;
-        let via_wire = KeyBuilder::new("d").wire(&value).finish();
-        let via_bytes = KeyBuilder::new("d").part(&value.to_wire_bytes()).finish();
-        assert_eq!(via_wire, via_bytes);
     }
 
     #[test]

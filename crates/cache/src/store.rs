@@ -447,7 +447,9 @@ mod tests {
                 let cache = std::sync::Arc::clone(&cache);
                 std::thread::spawn(move || {
                     for i in 0..50u64 {
-                        let k = KeyBuilder::new("concurrent").wire(&(i % 10)).finish();
+                        let k = KeyBuilder::new("concurrent")
+                            .part(&(i % 10).to_wire_bytes())
+                            .finish();
                         if t % 2 == 0 {
                             cache.insert_encoded(k, &i);
                         } else {

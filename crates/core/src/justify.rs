@@ -1,6 +1,9 @@
 use scanpower_netlist::{NetId, Netlist};
 use scanpower_power::LeakageObservability;
-use scanpower_sim::{Evaluator, Logic};
+use scanpower_sim::{DirtyWorklist, Logic, SimKernel};
+
+/// Backtracks allowed per objective before a justification attempt gives up.
+const BACKTRACK_LIMIT: usize = 64;
 
 /// How ties between candidate lines are broken during justification and
 /// candidate-input selection.
@@ -31,16 +34,19 @@ pub enum JustifyOutcome {
 /// The justifier owns the current partial assignment of the combinational
 /// inputs (controlled inputs may be 0/1/X, uncontrolled pseudo-inputs are
 /// pinned to X because their value keeps changing during shift) and the
-/// implied value of every net.
+/// implied value of every net. Every decision, flip and undo re-settles the
+/// implied values through the kernel's event-driven
+/// [`SimKernel::propagate_from`], which leaves them exactly equal to a full
+/// evaluation of the assignment.
 #[derive(Debug, Clone)]
 pub struct Justifier {
-    evaluator: Evaluator,
+    kernel: SimKernel<Logic>,
+    worklist: DirtyWorklist,
     assignment: Vec<Logic>,
     values: Vec<Logic>,
     controllable: Vec<bool>,
     input_position: Vec<Option<usize>>,
     directive: Directive,
-    backtrack_limit: usize,
     decisions: usize,
 }
 
@@ -51,11 +57,11 @@ impl Justifier {
     /// (primary inputs plus multiplexed pseudo-inputs).
     #[must_use]
     pub fn new(netlist: &Netlist, controlled: &[NetId], directive: Directive) -> Justifier {
-        let evaluator = Evaluator::new(netlist);
-        let width = evaluator.inputs().len();
+        let kernel = SimKernel::<Logic>::new(netlist);
+        let width = kernel.inputs().len();
         let mut controllable = vec![false; width];
         let mut input_position = vec![None; netlist.net_count()];
-        for (i, &net) in evaluator.inputs().iter().enumerate() {
+        for (i, &net) in kernel.inputs().iter().enumerate() {
             input_position[net.index()] = Some(i);
         }
         for &net in controlled {
@@ -63,23 +69,20 @@ impl Justifier {
                 controllable[position] = true;
             }
         }
-        let assignment = vec![Logic::X; width];
-        let values = evaluator.evaluate(netlist, &assignment);
+        // Every input starts unknown, so a sweep over an all-X buffer is the
+        // full evaluation of the initial assignment.
+        let mut values = vec![Logic::X; kernel.net_count()];
+        kernel.propagate(netlist, &mut values);
         Justifier {
-            evaluator,
-            assignment,
+            worklist: kernel.make_worklist(),
+            kernel,
+            assignment: vec![Logic::X; width],
             values,
             controllable,
             input_position,
             directive,
-            backtrack_limit: 64,
             decisions: 0,
         }
-    }
-
-    /// Sets the backtrack budget per objective (default 64).
-    pub fn set_backtrack_limit(&mut self, limit: usize) {
-        self.backtrack_limit = limit;
     }
 
     /// Current implied value of every net.
@@ -89,7 +92,7 @@ impl Justifier {
     }
 
     /// Current assignment of the combinational inputs (the order of
-    /// [`Evaluator::inputs`]).
+    /// [`SimKernel::inputs`]).
     #[must_use]
     pub fn assignment(&self) -> &[Logic] {
         &self.assignment
@@ -155,37 +158,61 @@ impl Justifier {
             };
             match decision {
                 Some((position, decided)) => {
-                    self.assignment[position] = Logic::from_bool(decided);
+                    self.set_input(position, Logic::from_bool(decided));
                     stack.push((position, decided, false));
-                    self.values = self.evaluator.evaluate(netlist, &self.assignment);
+                    self.settle(netlist);
                 }
                 None => loop {
                     match stack.pop() {
                         Some((position, decided, tried_both)) => {
                             if tried_both {
-                                self.assignment[position] = Logic::X;
+                                self.set_input(position, Logic::X);
                                 continue;
                             }
                             backtracks += 1;
-                            if backtracks > self.backtrack_limit {
-                                self.assignment = snapshot;
-                                self.values = self.evaluator.evaluate(netlist, &self.assignment);
+                            if backtracks > BACKTRACK_LIMIT {
+                                self.restore(netlist, &snapshot);
                                 return JustifyOutcome::Failed;
                             }
-                            self.assignment[position] = Logic::from_bool(!decided);
+                            self.set_input(position, Logic::from_bool(!decided));
                             stack.push((position, !decided, true));
-                            self.values = self.evaluator.evaluate(netlist, &self.assignment);
+                            self.settle(netlist);
                             break;
                         }
                         None => {
-                            self.assignment = snapshot;
-                            self.values = self.evaluator.evaluate(netlist, &self.assignment);
+                            self.restore(netlist, &snapshot);
                             return JustifyOutcome::Failed;
                         }
                     }
                 },
             }
         }
+    }
+
+    /// Writes one combinational input and marks its readers dirty; the
+    /// implied values catch up on the next [`Justifier::settle`].
+    fn set_input(&mut self, position: usize, value: Logic) {
+        self.assignment[position] = value;
+        let net = self.kernel.inputs()[position];
+        if self.values[net.index()] != value {
+            self.values[net.index()] = value;
+            self.kernel.mark_net_changed(net, &mut self.worklist);
+        }
+    }
+
+    /// Re-settles the implied values after [`Justifier::set_input`] calls.
+    fn settle(&mut self, netlist: &Netlist) {
+        self.kernel
+            .propagate_from(netlist, &mut self.values, &mut self.worklist, |_, _, _| {});
+    }
+
+    /// Rolls the assignment back to `snapshot`, re-marking only the inputs
+    /// that differ from it.
+    fn restore(&mut self, netlist: &Netlist, snapshot: &[Logic]) {
+        for (position, &value) in snapshot.iter().enumerate() {
+            self.set_input(position, value);
+        }
+        self.settle(netlist);
     }
 
     /// Maps an internal objective to a single controlled-input decision by
@@ -242,11 +269,81 @@ impl Justifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scanpower_netlist::{GateKind, Netlist};
+    use scanpower_netlist::{generator::CircuitFamily, GateKind, Netlist};
     use scanpower_power::LeakageLibrary;
 
     fn observability(netlist: &Netlist) -> LeakageObservability {
         LeakageObservability::compute(netlist, &LeakageLibrary::cmos45())
+    }
+
+    /// The event-driven settling must leave `values()` equal to a full
+    /// evaluation of `assignment()` after every attempt, and a failed
+    /// attempt must restore the assignment it started from.
+    #[test]
+    fn incremental_values_match_full_evaluation() {
+        let (mut satisfied, mut failed) = (0usize, 0usize);
+        for family in CircuitFamily::table1() {
+            let n = family.scaled(0.1).generate(1);
+            let obs = observability(&n);
+            // Primary inputs plus every other scan cell are controlled; the
+            // rest stay unknown and make some objectives unjustifiable.
+            let mut controlled = n.primary_inputs().to_vec();
+            controlled.extend(n.pseudo_inputs().into_iter().step_by(2));
+            let mut kernel = SimKernel::<Logic>::new(&n);
+            for directive in [Directive::LeakageObservability, Directive::FirstAvailable] {
+                let mut justifier = Justifier::new(&n, &controlled, directive);
+                let step = (n.gate_count() / 40).max(1);
+                for (i, gate) in n.gates().iter().enumerate().step_by(step) {
+                    let before = justifier.assignment().to_vec();
+                    let outcome = justifier.justify(&n, gate.output, i % 3 != 0, &obs);
+                    let full = kernel.evaluate(&n, justifier.assignment());
+                    assert_eq!(
+                        justifier.values(),
+                        full,
+                        "{} {directive:?} objective {i}",
+                        n.name()
+                    );
+                    if outcome == JustifyOutcome::Failed {
+                        assert_eq!(justifier.assignment(), before.as_slice());
+                        failed += 1;
+                    } else {
+                        satisfied += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            satisfied > 0 && failed > 0,
+            "{satisfied} satisfied, {failed} failed"
+        );
+    }
+
+    /// An XOR over eight controlled inputs and one uncontrolled scan cell
+    /// stays unknown under every decision, so the search runs out of
+    /// backtracks with decisions still on its stack; rolling them back must
+    /// also re-settle the gates they feed.
+    #[test]
+    fn backtrack_limit_failure_restores_implied_values() {
+        let mut n = Netlist::new("t");
+        let controlled: Vec<NetId> = (0..8).map(|i| n.add_input(&format!("a{i}"))).collect();
+        let q = n.ensure_net("q");
+        let mut operands = controlled.clone();
+        operands.push(q);
+        let x = n.add_gate(GateKind::Xor, &operands, "x");
+        let h = n.add_gate(GateKind::And, &controlled[..2], "h");
+        n.mark_output(x.output);
+        n.mark_output(h.output);
+        n.try_add_dff_driving(x.output, q).unwrap();
+        let obs = observability(&n);
+        let mut justifier = Justifier::new(&n, &controlled, Directive::FirstAvailable);
+        let outcome = justifier.justify(&n, x.output, true, &obs);
+        assert_eq!(outcome, JustifyOutcome::Failed);
+        assert!(justifier.assignment().iter().all(|&v| v == Logic::X));
+        assert_eq!(justifier.value(h.output), Logic::X);
+        let full = SimKernel::<Logic>::new(&n)
+            .evaluate(&n, justifier.assignment())
+            .to_vec();
+        assert_eq!(justifier.values(), full.as_slice());
     }
 
     #[test]

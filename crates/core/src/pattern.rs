@@ -21,8 +21,6 @@ use crate::worklist::TransitionWorklist;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControlPatternFinder {
     directive: Directive,
-    capacitance: CapacitanceModel,
-    backtrack_limit: usize,
 }
 
 impl Default for ControlPatternFinder {
@@ -35,25 +33,7 @@ impl ControlPatternFinder {
     /// Creates a finder with the given decision directive.
     #[must_use]
     pub fn new(directive: Directive) -> ControlPatternFinder {
-        ControlPatternFinder {
-            directive,
-            capacitance: CapacitanceModel::default(),
-            backtrack_limit: 64,
-        }
-    }
-
-    /// Overrides the capacitance model used to order transition gates.
-    #[must_use]
-    pub fn with_capacitance(mut self, capacitance: CapacitanceModel) -> ControlPatternFinder {
-        self.capacitance = capacitance;
-        self
-    }
-
-    /// Sets the justification backtrack budget per objective.
-    #[must_use]
-    pub fn with_backtrack_limit(mut self, limit: usize) -> ControlPatternFinder {
-        self.backtrack_limit = limit;
-        self
+        ControlPatternFinder { directive }
     }
 
     /// The decision directive in use.
@@ -78,13 +58,13 @@ impl ControlPatternFinder {
         observability: &LeakageObservability,
     ) -> ControlPattern {
         let mut justifier = Justifier::new(netlist, controlled, self.directive);
-        justifier.set_backtrack_limit(self.backtrack_limit);
+        let capacitance = CapacitanceModel::default();
         let mut worklist = TransitionWorklist::new(netlist, transition_sources, justifier.values());
 
         let mut stats = PatternStats::default();
         let max_iterations = netlist.gate_count() * 2 + 16;
 
-        while let Some((mc_tg, mc_tn)) = worklist.most_capacitive_gate(netlist, &self.capacitance) {
+        while let Some((mc_tg, mc_tn)) = worklist.most_capacitive_gate(netlist, &capacitance) {
             stats.iterations += 1;
             if stats.iterations > max_iterations {
                 break;
@@ -170,7 +150,8 @@ pub struct PatternStats {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ControlPattern {
     /// Value of every combinational input (primary inputs then
-    /// pseudo-inputs, the order of `Evaluator::inputs`). Controlled inputs
+    /// pseudo-inputs, the order of
+    /// [`SimKernel::inputs`](scanpower_sim::SimKernel::inputs)). Controlled inputs
     /// that remained don't-care and all uncontrolled pseudo-inputs are
     /// [`Logic::X`].
     pub assignment: Vec<Logic>,
@@ -187,14 +168,6 @@ impl ControlPattern {
     #[must_use]
     pub fn specified_inputs(&self) -> usize {
         self.assignment.iter().filter(|v| v.is_known()).count()
-    }
-
-    /// Number of controlled inputs still at don't-care.
-    #[must_use]
-    pub fn dont_care_inputs(&self) -> usize {
-        self.controlled
-            .len()
-            .saturating_sub(self.specified_inputs())
     }
 
     /// Fraction of transition gates that were successfully blocked.

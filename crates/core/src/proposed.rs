@@ -3,7 +3,7 @@ use serde::{Deserialize, Serialize};
 use scanpower_netlist::{Netlist, Result};
 use scanpower_power::reorder::{self, ReorderReport};
 use scanpower_power::{InputVectorControl, LeakageEstimator, LeakageLibrary, LeakageObservability};
-use scanpower_sim::{BlockDriver, Evaluator, Logic};
+use scanpower_sim::{BlockDriver, Logic, SimKernel};
 use scanpower_timing::DelayModel;
 
 use crate::addmux::{AddMux, MuxPlan};
@@ -150,9 +150,9 @@ impl ProposedMethod {
         // pseudo-inputs stay unknown (their value ripples during shift); the
         // leakage estimator averages over them.
         let estimator = LeakageEstimator::new(netlist, &self.library);
-        let evaluator = Evaluator::new(netlist);
-        let input_order = evaluator.inputs().to_vec();
-        let controlled_positions: Vec<usize> = input_order
+        let mut kernel = SimKernel::<Logic>::new(netlist);
+        let controlled_positions: Vec<usize> = kernel
+            .inputs()
             .iter()
             .enumerate()
             .filter(|(_, net)| controlled.contains(net))
@@ -169,8 +169,8 @@ impl ProposedMethod {
 
         // Final scan-mode values of the original combinational inputs.
         let scan_mode_inputs = filled.pattern.clone();
-        let scan_mode_values = evaluator.evaluate(netlist, &scan_mode_inputs);
-        let scan_mode_leakage_na = estimator.circuit_leakage(netlist, &scan_mode_values);
+        let scan_mode_values = kernel.evaluate(netlist, &scan_mode_inputs);
+        let scan_mode_leakage_na = estimator.circuit_leakage(netlist, scan_mode_values);
 
         // Step 5: build the physical structure with the chosen constants.
         let pi_count = netlist.primary_inputs().len();
@@ -191,18 +191,17 @@ impl ProposedMethod {
         // Step 6: leakage-driven gate input reordering in the scan-mode
         // state of the *modified* netlist.
         let reorder_report = if self.options.reorder_inputs {
-            let modified_evaluator = Evaluator::new(structure.netlist());
+            let mut modified_kernel = SimKernel::<Logic>::new(structure.netlist());
             let mut modified_inputs: Vec<Logic> =
-                Vec::with_capacity(modified_evaluator.inputs().len());
+                Vec::with_capacity(modified_kernel.inputs().len());
             modified_inputs.extend_from_slice(&scan_mode_inputs[..pi_count]);
             modified_inputs.push(Logic::One); // Shift Enable asserted.
             modified_inputs.extend_from_slice(&scan_mode_inputs[pi_count..]);
-            let modified_values =
-                modified_evaluator.evaluate(structure.netlist(), &modified_inputs);
+            let modified_values = modified_kernel.evaluate(structure.netlist(), &modified_inputs);
             Some(reorder::optimize(
                 structure.netlist_mut(),
                 &self.library,
-                &modified_values,
+                modified_values,
             ))
         } else {
             None

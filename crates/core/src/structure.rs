@@ -222,7 +222,7 @@ mod tests {
     use super::*;
     use crate::addmux::AddMux;
     use scanpower_netlist::bench;
-    use scanpower_sim::{Evaluator, Logic};
+    use scanpower_sim::{Logic, SimKernel};
     use scanpower_timing::Sta;
 
     fn build_s27() -> (Netlist, ScanStructure) {
@@ -255,8 +255,8 @@ mod tests {
     #[test]
     fn normal_mode_function_is_preserved() {
         let (original, structure) = build_s27();
-        let ev_orig = Evaluator::new(&original);
-        let ev_new = Evaluator::new(structure.netlist());
+        let mut ev_orig = SimKernel::<Logic>::new(&original);
+        let mut ev_new = SimKernel::<Logic>::new(structure.netlist());
         // With Shift Enable = 0 the modified circuit must compute the same
         // primary outputs and next-state functions for every input vector.
         let width = ev_orig.inputs().len();
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn scan_mode_isolates_muxed_cells() {
         let (original, structure) = build_s27();
-        let ev = Evaluator::new(structure.netlist());
+        let mut ev = SimKernel::<Logic>::new(structure.netlist());
         // Scan enable = 1: the MUX outputs must equal their constants no
         // matter what the scan cells hold.
         let pi = original.primary_inputs().len();

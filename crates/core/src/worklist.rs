@@ -170,7 +170,7 @@ impl TransitionWorklist {
 mod tests {
     use super::*;
     use scanpower_netlist::{GateKind, Netlist};
-    use scanpower_sim::Evaluator;
+    use scanpower_sim::SimKernel;
     use scanpower_timing::CapacitanceModel;
 
     /// q (uncontrolled) -> NAND(q, a) -> NOT -> NOR(., b) -> out
@@ -188,10 +188,11 @@ mod tests {
     }
 
     fn values_for(netlist: &Netlist, a: Logic, b: Logic) -> Vec<Logic> {
-        let ev = Evaluator::new(netlist);
         // inputs order: a, b, q — q stays unknown (it is the transition
         // source).
-        ev.evaluate(netlist, &[a, b, Logic::X])
+        SimKernel::<Logic>::new(netlist)
+            .evaluate(netlist, &[a, b, Logic::X])
+            .to_vec()
     }
 
     #[test]
@@ -262,9 +263,9 @@ mod tests {
         n.try_add_dff_driving(heavy.output, q1).unwrap();
         n.try_add_dff_driving(light.output, q2).unwrap();
 
-        let ev = Evaluator::new(&n);
+        let mut ev = SimKernel::<Logic>::new(&n);
         let values = ev.evaluate(&n, &[Logic::X, Logic::X, Logic::X]);
-        let worklist = TransitionWorklist::new(&n, &[q1, q2], &values);
+        let worklist = TransitionWorklist::new(&n, &[q1, q2], values);
         let (gate, tn) = worklist
             .most_capacitive_gate(&n, &CapacitanceModel::default())
             .unwrap();

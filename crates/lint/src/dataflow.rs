@@ -18,7 +18,7 @@
 
 use scanpower_netlist::{GateId, NetDriver, NetId, Netlist};
 use scanpower_sim::scan::ShiftConfig;
-use scanpower_sim::{Evaluator, Logic};
+use scanpower_sim::{Logic, SimKernel};
 
 /// Bitset facts produced by the dataflow analyses.
 ///
@@ -109,13 +109,13 @@ impl LintFacts {
             }
         }
 
-        let evaluator = Evaluator::new(netlist);
-        let inputs: Vec<Logic> = evaluator
+        let mut kernel = SimKernel::<Logic>::new(netlist);
+        let inputs: Vec<Logic> = kernel
             .inputs()
             .iter()
             .map(|&net| desired[net.index()])
             .collect();
-        let values = evaluator.evaluate(netlist, &inputs);
+        let values = kernel.evaluate(netlist, &inputs).to_vec();
 
         let words = net_words(netlist.net_count());
         let mut const0 = vec![0u64; words];

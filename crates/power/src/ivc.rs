@@ -81,11 +81,11 @@ impl InputVectorControl {
     /// Finds a low-leakage completion of `template`.
     ///
     /// `template` has one entry per combinational input (primary inputs then
-    /// pseudo-inputs, the order of [`Evaluator::inputs`]); positions holding
+    /// pseudo-inputs, the order of [`SimKernel::inputs`]); positions holding
     /// [`Logic::X`] are free and will be assigned, known positions are kept.
     /// Returns the best complete vector found and its leakage.
     ///
-    /// [`Evaluator::inputs`]: scanpower_sim::Evaluator::inputs
+    /// [`SimKernel::inputs`]: scanpower_sim::SimKernel::inputs
     ///
     /// # Panics
     ///
@@ -216,7 +216,7 @@ mod tests {
     use super::*;
     use crate::leakage::LeakageLibrary;
     use scanpower_netlist::bench;
-    use scanpower_sim::Evaluator;
+    use scanpower_sim::SimKernel;
 
     #[test]
     fn search_respects_fixed_positions() {
@@ -240,10 +240,9 @@ mod tests {
         let library = LeakageLibrary::cmos45();
         let estimator = LeakageEstimator::new(&n, &library);
         let width = n.combinational_inputs().len();
-        let evaluator = Evaluator::new(&n);
-        let zeros =
-            estimator.circuit_leakage(&n, &evaluator.evaluate(&n, &vec![Logic::Zero; width]));
-        let ones = estimator.circuit_leakage(&n, &evaluator.evaluate(&n, &vec![Logic::One; width]));
+        let mut kernel = SimKernel::<Logic>::new(&n);
+        let zeros = estimator.circuit_leakage(&n, kernel.evaluate(&n, &vec![Logic::Zero; width]));
+        let ones = estimator.circuit_leakage(&n, kernel.evaluate(&n, &vec![Logic::One; width]));
         let result =
             InputVectorControl::with_budget(128, 2).search(&n, &estimator, &vec![Logic::X; width]);
         assert!(result.leakage_na <= zeros.min(ones) + 1e-9);
@@ -283,8 +282,8 @@ mod tests {
         let width = n.combinational_inputs().len();
         let result =
             InputVectorControl::with_budget(96, 5).search(&n, &estimator, &vec![Logic::X; width]);
-        let evaluator = Evaluator::new(&n);
-        let scalar = estimator.circuit_leakage(&n, &evaluator.evaluate(&n, &result.pattern));
+        let mut kernel = SimKernel::<Logic>::new(&n);
+        let scalar = estimator.circuit_leakage(&n, kernel.evaluate(&n, &result.pattern));
         assert!((result.leakage_na - scalar).abs() < 1e-9);
     }
 

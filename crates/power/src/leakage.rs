@@ -893,7 +893,7 @@ mod tests {
     use super::*;
     use scanpower_netlist::{bench, GateKind, Netlist};
     use scanpower_sim::scan::{ScanPattern, ShiftConfig, ShiftStats};
-    use scanpower_sim::{Evaluator, PackedScanShiftSim, Propagation};
+    use scanpower_sim::{PackedScanShiftSim, Propagation, SimKernel};
 
     /// The packed replay without a cancel flag (which never fails), every
     /// event handed to `observer`.
@@ -937,12 +937,12 @@ mod tests {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let library = LeakageLibrary::cmos45();
         let estimator = LeakageEstimator::new(&n, &library);
-        let ev = Evaluator::new(&n);
+        let mut ev = SimKernel::<Logic>::new(&n);
         let values = ev.evaluate(&n, &vec![Logic::Zero; ev.inputs().len()]);
-        let total = estimator.circuit_leakage(&n, &values);
+        let total = estimator.circuit_leakage(&n, values);
         let manual: f64 = n
             .gate_ids()
-            .map(|g| estimator.gate_leakage(&n, g, &values))
+            .map(|g| estimator.gate_leakage(&n, g, values))
             .sum();
         assert!((total - manual).abs() < 1e-9);
         assert!(total > 0.0);
@@ -969,11 +969,11 @@ mod tests {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let library = LeakageLibrary::cmos45();
         let estimator = LeakageEstimator::new(&n, &library);
-        let ev = Evaluator::new(&n);
+        let mut ev = SimKernel::<Logic>::new(&n);
         let zeros =
-            estimator.circuit_leakage(&n, &ev.evaluate(&n, &vec![Logic::Zero; ev.inputs().len()]));
+            estimator.circuit_leakage(&n, ev.evaluate(&n, &vec![Logic::Zero; ev.inputs().len()]));
         let ones =
-            estimator.circuit_leakage(&n, &ev.evaluate(&n, &vec![Logic::One; ev.inputs().len()]));
+            estimator.circuit_leakage(&n, ev.evaluate(&n, &vec![Logic::One; ev.inputs().len()]));
         assert_ne!(zeros, ones);
     }
 
@@ -1020,7 +1020,7 @@ mod tests {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let library = LeakageLibrary::cmos45();
         let estimator = LeakageEstimator::new(&n, &library);
-        let ev = Evaluator::new(&n);
+        let mut ev = SimKernel::<Logic>::new(&n);
         let width = ev.inputs().len();
 
         // 16 patterns mixing known and unknown inputs.
@@ -1041,7 +1041,7 @@ mod tests {
             .to_vec();
         let lanes = estimator.circuit_leakage_lanes(&n, &packed, patterns.len());
         for (lane, pattern) in patterns.iter().enumerate() {
-            let scalar = estimator.circuit_leakage(&n, &ev.evaluate(&n, pattern));
+            let scalar = estimator.circuit_leakage(&n, ev.evaluate(&n, pattern));
             assert!(
                 (lanes[lane] - scalar).abs() < 1e-9,
                 "lane {lane}: {} != {scalar}",
@@ -1424,7 +1424,7 @@ mod tests {
                 );
             }
 
-            let ev = Evaluator::new(&n);
+            let mut ev = SimKernel::<Logic>::new(&n);
             let width = ev.inputs().len();
             // X densities: none, sparse, all-X; block sizes: partial and full.
             for (density, lanes) in [(0.0, 64), (0.0, 1), (0.2, 37), (0.2, 64), (1.0, 23)] {
@@ -1449,7 +1449,7 @@ mod tests {
                 let fast = lane_parallel.circuit_leakage_lanes(&n, &packed, lanes);
                 let slow = scalar_lookup.circuit_leakage_lanes(&n, &packed, lanes);
                 for (lane, pattern) in patterns.iter().enumerate() {
-                    let reference = lane_parallel.circuit_leakage(&n, &ev.evaluate(&n, pattern));
+                    let reference = lane_parallel.circuit_leakage(&n, ev.evaluate(&n, pattern));
                     assert_eq!(
                         fast[lane].to_bits(),
                         reference.to_bits(),

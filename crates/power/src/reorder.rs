@@ -153,7 +153,7 @@ fn best_state_with_ones(
 mod tests {
     use super::*;
     use scanpower_netlist::{GateKind, Netlist};
-    use scanpower_sim::{Evaluator, Logic};
+    use scanpower_sim::{Logic, SimKernel};
 
     #[test]
     fn nand_in_expensive_state_gets_rewired() {
@@ -165,9 +165,9 @@ mod tests {
         let g = n.add_gate(GateKind::Nand, &[a, b], "g");
         n.mark_output(g.output);
         let library = LeakageLibrary::cmos45();
-        let ev = Evaluator::new(&n);
+        let mut ev = SimKernel::<Logic>::new(&n);
         let values = ev.evaluate(&n, &[Logic::One, Logic::Zero]);
-        let report = optimize(&mut n, &library, &values);
+        let report = optimize(&mut n, &library, values);
         assert_eq!(report.gates_changed, 1);
         assert!(report.saved_na() > 100.0);
         assert_eq!(n.gate(g.gate).inputs, vec![b, a]);
@@ -182,10 +182,10 @@ mod tests {
         let g = n.add_gate(GateKind::Nand, &[a, b], "g");
         n.mark_output(g.output);
         let library = LeakageLibrary::cmos45();
-        let ev = Evaluator::new(&n);
+        let mut ev = SimKernel::<Logic>::new(&n);
         // a=0, b=1 is already the cheapest NAND2 state with one 1.
         let values = ev.evaluate(&n, &[Logic::Zero, Logic::One]);
-        let report = optimize(&mut n, &library, &values);
+        let report = optimize(&mut n, &library, values);
         assert_eq!(report.gates_changed, 0);
         assert_eq!(n.gate(g.gate).inputs, vec![a, b]);
     }
@@ -215,21 +215,21 @@ mod tests {
         let g2 = n.add_gate(GateKind::Nor, &[g1.output, c], "g2");
         n.mark_output(g2.output);
         let library = LeakageLibrary::cmos45();
-        let ev = Evaluator::new(&n);
+        let mut ev = SimKernel::<Logic>::new(&n);
         let reference: Vec<Vec<Logic>> = (0..8u32)
             .map(|bits| {
                 let inputs: Vec<Logic> = (0..3)
                     .map(|i| Logic::from_bool((bits >> i) & 1 == 1))
                     .collect();
-                ev.evaluate(&n, &inputs)
+                ev.evaluate(&n, &inputs).to_vec()
             })
             .collect();
 
         let values = ev.evaluate(&n, &[Logic::One, Logic::Zero, Logic::One]);
-        optimize(&mut n, &library, &values);
+        optimize(&mut n, &library, values);
         assert!(n.validate().is_ok());
 
-        let ev_after = Evaluator::new(&n);
+        let mut ev_after = SimKernel::<Logic>::new(&n);
         for bits in 0..8u32 {
             let inputs: Vec<Logic> = (0..3)
                 .map(|i| Logic::from_bool((bits >> i) & 1 == 1))

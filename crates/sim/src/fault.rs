@@ -331,7 +331,7 @@ mod tests {
     use super::*;
     use crate::kernel;
     use crate::patterns::random_bool_patterns;
-    use crate::{Evaluator, Logic};
+    use crate::{Logic, SimKernel};
     use scanpower_netlist::generator::CircuitFamily;
     use scanpower_netlist::{bench, topo, GateKind};
 
@@ -440,7 +440,7 @@ mod tests {
     fn good_values_match_scalar_simulation() {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let sim = FaultSim::new(&n);
-        let ev = Evaluator::new(&n);
+        let mut ev = SimKernel::<Logic>::new(&n);
         let patterns = random_bool_patterns(ev.inputs().len(), 64, 5);
         let words = sim.good_values(&n, &patterns);
         for (bit, pattern) in patterns.iter().enumerate() {

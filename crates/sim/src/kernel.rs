@@ -10,11 +10,9 @@
 //! allocation cost once.
 //!
 //! [`eval_gate`] / [`eval_gate_at`] contain the **only** gate-kind `match`
-//! that evaluates logic in the entire workspace; the scalar [`Evaluator`],
-//! the incremental simulator, the fault simulator, PODEM and the packed
+//! that evaluates logic in the entire workspace; the scalar scan replay,
+//! the justification search, the fault simulator, PODEM and the packed
 //! leakage Monte-Carlo all call into it.
-//!
-//! [`Evaluator`]: crate::Evaluator
 
 use scanpower_netlist::{topo, GateId, GateKind, NetId, Netlist};
 
@@ -1365,6 +1363,55 @@ mod tests {
                 assert_eq!(values[site.index()].lane(1), stuck, "round {round}");
             }
         }
+    }
+
+    #[test]
+    fn evaluates_simple_circuit() {
+        let mut n = Netlist::new("t");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let g = n.add_gate(GateKind::Nand, &[a, b], "g");
+        let h = n.add_gate(GateKind::Not, &[g.output], "h");
+        n.mark_output(h.output);
+        let mut kernel = SimKernel::<Logic>::new(&n);
+        let values = kernel.evaluate(&n, &[Logic::One, Logic::One]);
+        assert_eq!(values[g.output.index()], Logic::Zero);
+        assert_eq!(values[h.output.index()], Logic::One);
+    }
+
+    #[test]
+    fn x_propagates_only_where_needed() {
+        let mut n = Netlist::new("t");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let g = n.add_gate(GateKind::Nor, &[a, b], "g");
+        n.mark_output(g.output);
+        let mut kernel = SimKernel::<Logic>::new(&n);
+        // b = X but a = 1 is controlling for NOR: output must be 0.
+        let values = kernel.evaluate(&n, &[Logic::One, Logic::X]);
+        assert_eq!(values[g.output.index()], Logic::Zero);
+        // a = 0 leaves the output unknown.
+        let values = kernel.evaluate(&n, &[Logic::Zero, Logic::X]);
+        assert_eq!(values[g.output.index()], Logic::X);
+    }
+
+    #[test]
+    fn s27_all_zero_input_state() {
+        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
+        let mut kernel = SimKernel::<Logic>::new(&n);
+        let width = kernel.inputs().len();
+        let values = kernel.evaluate(&n, &vec![Logic::Zero; width]);
+        // Every net must be fully specified when every input is specified.
+        for net in n.net_ids() {
+            assert!(values[net.index()].is_known());
+        }
+    }
+
+    #[test]
+    fn pseudo_inputs_are_part_of_the_input_vector() {
+        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
+        let kernel = SimKernel::<Logic>::new(&n);
+        assert_eq!(kernel.inputs().len(), 4 + 3);
     }
 
     #[test]

@@ -11,12 +11,10 @@
 //!   three-valued bit-parallel encoding, the one lane type of the packed
 //!   replay and leakage paths). This module contains the single
 //!   gate-evaluation implementation of the workspace.
+//!   Callers either evaluate from a full input assignment
+//!   ([`SimKernel::evaluate`]) or re-settle a buffer after some source nets
+//!   changed ([`SimKernel::propagate_from`] over a [`DirtyWorklist`]).
 //! * [`Logic`] — three-valued (0/1/X) logic with Kleene semantics.
-//! * [`Evaluator`] — zero-delay scalar evaluation of the combinational part
-//!   from a complete assignment of the combinational inputs.
-//! * [`IncrementalSim`] — event-driven re-evaluation that reports exactly
-//!   which nets toggled, used to count transitions cheaply across the many
-//!   shift cycles of a scan test.
 //! * [`scan`] — test-per-scan shift simulation ([`scan::ScanShiftSim`]) with
 //!   per-net transition counts and per-cycle state observation.
 //! * [`scan_packed`] — the packed multi-pattern scan-shift replay
@@ -44,12 +42,12 @@
 //!
 //! ```
 //! use scanpower_netlist::bench;
-//! use scanpower_sim::{Evaluator, Logic};
+//! use scanpower_sim::{Logic, SimKernel};
 //!
 //! let circuit = bench::parse(bench::S27_BENCH, "s27")?;
-//! let evaluator = Evaluator::new(&circuit);
-//! let inputs = vec![Logic::Zero; circuit.combinational_inputs().len()];
-//! let values = evaluator.evaluate(&circuit, &inputs);
+//! let mut kernel = SimKernel::<Logic>::new(&circuit);
+//! let inputs = vec![Logic::Zero; kernel.inputs().len()];
+//! let values = kernel.evaluate(&circuit, &inputs);
 //! assert_eq!(values.len(), circuit.net_count());
 //! # Ok::<(), scanpower_netlist::NetlistError>(())
 //! ```
@@ -73,10 +71,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod eval;
 pub mod failpoint;
 pub mod fault;
-mod incremental;
 pub mod kernel;
 mod logic;
 pub mod parallel;
@@ -85,8 +81,6 @@ pub mod scan;
 pub mod scan_packed;
 mod wire_impls;
 
-pub use eval::Evaluator;
-pub use incremental::IncrementalSim;
 pub use kernel::{DirtyWorklist, LogicWord, PackedWord, SimKernel};
 pub use logic::Logic;
 pub use parallel::{

@@ -607,7 +607,7 @@ where
 mod tests {
     use super::*;
     use crate::kernel::{pack_logic_patterns, PackedWord, SimKernel};
-    use crate::{Evaluator, Logic};
+    use crate::Logic;
     use scanpower_netlist::bench;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -949,7 +949,7 @@ mod tests {
     #[test]
     fn kernel_blocks_match_scalar_across_thread_counts() {
         let netlist = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let scalar = Evaluator::new(&netlist);
+        let mut scalar = SimKernel::<Logic>::new(&netlist);
         let prototype = SimKernel::<PackedWord>::new(&netlist);
         let width = prototype.inputs().len();
 

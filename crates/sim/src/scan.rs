@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use scanpower_netlist::{NetId, Netlist};
 
-use crate::incremental::IncrementalSim;
+use crate::kernel::{DirtyWorklist, SimKernel};
 use crate::logic::Logic;
 
 /// One scan test pattern: the primary-input part applied at capture and the
@@ -210,7 +210,9 @@ impl ScanShiftSim {
         {
             *slot = presented;
         }
-        let mut sim = IncrementalSim::new(netlist, &inputs);
+        let mut kernel = SimKernel::<Logic>::new(netlist);
+        let mut values = kernel.evaluate(netlist, &inputs).to_vec();
+        let mut worklist = kernel.make_worklist();
 
         for pattern in patterns {
             assert_eq!(pattern.pi.len(), self.pi_nets.len(), "pattern PI width");
@@ -227,46 +229,47 @@ impl ScanShiftSim {
                 }
                 chain[0] = incoming;
 
-                let mut changes: Vec<(NetId, Logic)> =
-                    Vec::with_capacity(self.pi_nets.len() + chain_len);
-                for (&net, &value) in self.pi_nets.iter().zip(&shift_pi) {
-                    changes.push((net, value));
-                }
-                for (&net, value) in self.pseudo_nets.iter().zip(self.presented(config, &chain)) {
-                    changes.push((net, value));
-                }
-                let toggled = sim.apply(netlist, &changes);
+                let changes = self
+                    .pi_nets
+                    .iter()
+                    .copied()
+                    .zip(shift_pi.iter().copied())
+                    .chain(
+                        self.pseudo_nets
+                            .iter()
+                            .copied()
+                            .zip(self.presented(config, &chain)),
+                    );
+                let toggled = apply(&kernel, netlist, &mut values, &mut worklist, changes);
                 total += toggled.len() as u64;
                 for net in toggled {
                     toggles[net.index()] += 1;
                 }
                 shift_cycles += 1;
-                observer(ShiftPhase::Shift, sim.values());
+                observer(ShiftPhase::Shift, &values);
             }
 
             // Capture: multiplexers return to normal mode, the pattern's PI
             // values are applied and the response is loaded into the chain.
-            let mut changes: Vec<(NetId, Logic)> =
-                Vec::with_capacity(self.pi_nets.len() + chain_len);
-            for (&net, &value) in self.pi_nets.iter().zip(&pattern.pi) {
-                changes.push((net, value));
-            }
-            for (&net, &value) in self.pseudo_nets.iter().zip(&chain) {
-                changes.push((net, value));
-            }
-            let toggled = sim.apply(netlist, &changes);
+            let changes = self
+                .pi_nets
+                .iter()
+                .copied()
+                .zip(pattern.pi.iter().copied())
+                .chain(self.pseudo_nets.iter().copied().zip(chain.iter().copied()));
+            let toggled = apply(&kernel, netlist, &mut values, &mut worklist, changes);
             if config.count_capture {
                 total += toggled.len() as u64;
                 for net in toggled {
                     toggles[net.index()] += 1;
                 }
             }
-            observer(ShiftPhase::Capture, sim.values());
+            observer(ShiftPhase::Capture, &values);
 
             // The captured response becomes the chain contents that will be
             // shifted out while the next pattern shifts in.
             for (slot, &d) in chain.iter_mut().zip(&self.d_nets) {
-                *slot = sim.value(d);
+                *slot = values[d.index()];
             }
         }
 
@@ -297,11 +300,34 @@ impl ScanShiftSim {
     }
 }
 
+/// Writes `changes` into the source nets of the settled buffer `values` and
+/// re-settles it through the kernel's event-driven
+/// [`SimKernel::propagate_from`]. Returns every net whose value changed (the
+/// changed sources first), each listed once.
+fn apply(
+    kernel: &SimKernel<Logic>,
+    netlist: &Netlist,
+    values: &mut [Logic],
+    worklist: &mut DirtyWorklist,
+    changes: impl Iterator<Item = (NetId, Logic)>,
+) -> Vec<NetId> {
+    let mut toggled = Vec::new();
+    for (net, value) in changes {
+        if values[net.index()] != value {
+            values[net.index()] = value;
+            toggled.push(net);
+            kernel.mark_net_changed(net, worklist);
+        }
+    }
+    kernel.propagate_from(netlist, values, worklist, |net, _, _| toggled.push(net));
+    toggled
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::patterns::random_bool_patterns;
-    use scanpower_netlist::bench;
+    use scanpower_netlist::{bench, GateKind};
 
     fn s27() -> Netlist {
         bench::parse(bench::S27_BENCH, "s27").unwrap()
@@ -314,6 +340,99 @@ mod tests {
             .into_iter()
             .map(|bits| ScanPattern::from_bools(&bits[..pi], &bits[pi..]))
             .collect()
+    }
+
+    /// Runs [`apply`] on a freshly settled buffer, returning the toggled nets.
+    struct Applier {
+        kernel: SimKernel<Logic>,
+        values: Vec<Logic>,
+        worklist: DirtyWorklist,
+    }
+
+    impl Applier {
+        fn new(netlist: &Netlist, inputs: &[Logic]) -> Applier {
+            let mut kernel = SimKernel::<Logic>::new(netlist);
+            let values = kernel.evaluate(netlist, inputs).to_vec();
+            let worklist = kernel.make_worklist();
+            Applier {
+                kernel,
+                values,
+                worklist,
+            }
+        }
+
+        fn apply(&mut self, netlist: &Netlist, changes: &[(NetId, Logic)]) -> Vec<NetId> {
+            apply(
+                &self.kernel,
+                netlist,
+                &mut self.values,
+                &mut self.worklist,
+                changes.iter().copied(),
+            )
+        }
+    }
+
+    #[test]
+    fn incremental_matches_full_evaluation() {
+        let n = s27();
+        let mut reference = SimKernel::<Logic>::new(&n);
+        let inputs = reference.inputs().to_vec();
+        let mut current: Vec<Logic> = random_bool_patterns(inputs.len(), 1, 42)[0]
+            .iter()
+            .copied()
+            .map(Logic::from_bool)
+            .collect();
+        let mut sim = Applier::new(&n, &current);
+        for flips in random_bool_patterns(inputs.len(), 200, 43) {
+            // Flip a random subset of inputs.
+            let mut changes = Vec::new();
+            for ((value, &net), flip) in current.iter_mut().zip(&inputs).zip(flips) {
+                if flip {
+                    *value = value.not();
+                    changes.push((net, *value));
+                }
+            }
+            let toggled = sim.apply(&n, &changes);
+            let full = reference.evaluate(&n, &current);
+            assert_eq!(sim.values, full);
+            // Each toggled net is listed once.
+            let mut sorted = toggled.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), toggled.len());
+        }
+    }
+
+    #[test]
+    fn toggled_nets_are_exactly_the_differences() {
+        let mut n = Netlist::new("t");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let g = n.add_gate(GateKind::Nand, &[a, b], "g");
+        let h = n.add_gate(GateKind::Not, &[g.output], "h");
+        n.mark_output(h.output);
+        let mut sim = Applier::new(&n, &[Logic::Zero, Logic::One]);
+        // a: 0 -> 1 makes the NAND go 1 -> 0 and the NOT 0 -> 1.
+        let toggled = sim.apply(&n, &[(a, Logic::One)]);
+        assert_eq!(toggled, vec![a, g.output, h.output]);
+        // Applying the same value again toggles nothing.
+        let toggled = sim.apply(&n, &[(a, Logic::One)]);
+        assert!(toggled.is_empty());
+    }
+
+    #[test]
+    fn blocked_transition_does_not_propagate() {
+        // With one NAND input at the controlling value 0, toggling the other
+        // input must not propagate past the gate — this is precisely the
+        // blocking effect the paper's method engineers.
+        let mut n = Netlist::new("t");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let g = n.add_gate(GateKind::Nand, &[a, b], "g");
+        n.mark_output(g.output);
+        let mut sim = Applier::new(&n, &[Logic::Zero, Logic::Zero]);
+        let toggled = sim.apply(&n, &[(b, Logic::One)]);
+        assert_eq!(toggled, vec![b]);
     }
 
     #[test]
@@ -399,10 +518,10 @@ mod tests {
             },
         );
         // Reference: evaluate the combinational part directly.
-        let ev = crate::Evaluator::new(&n);
+        let mut kernel = SimKernel::<Logic>::new(&n);
         let mut inputs = pattern.pi.clone();
         inputs.extend(pattern.scan.iter().copied());
-        let reference = ev.evaluate(&n, &inputs);
+        let reference = kernel.evaluate(&n, &inputs);
         for &po in n.primary_outputs() {
             assert_eq!(last_capture[po.index()], reference[po.index()]);
         }

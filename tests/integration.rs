@@ -7,7 +7,7 @@ use scanpower_suite::core::{ProposedMethod, ProposedOptions};
 use scanpower_suite::netlist::generator::CircuitFamily;
 use scanpower_suite::netlist::{bench, techmap::TechMapper};
 use scanpower_suite::power::{LeakageEstimator, LeakageLibrary};
-use scanpower_suite::sim::{Evaluator, Logic};
+use scanpower_suite::sim::{Logic, SimKernel};
 use scanpower_suite::timing::Sta;
 
 #[test]
@@ -48,8 +48,8 @@ fn normal_mode_behaviour_is_preserved_end_to_end() {
     let result = ProposedMethod::default().apply(&circuit).unwrap();
     let modified = result.structure.netlist();
 
-    let ev_before = Evaluator::new(&circuit);
-    let ev_after = Evaluator::new(modified);
+    let mut ev_before = SimKernel::<Logic>::new(&circuit);
+    let mut ev_after = SimKernel::<Logic>::new(modified);
     let pi = circuit.primary_inputs().len();
     let patterns =
         scanpower_suite::sim::patterns::random_logic_patterns(ev_before.inputs().len(), 64, 9);

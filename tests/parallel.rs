@@ -19,7 +19,7 @@ use scanpower_suite::power::{
 };
 use scanpower_suite::sim::kernel::pack_logic_patterns;
 use scanpower_suite::sim::parallel::BLOCK_LANES;
-use scanpower_suite::sim::{BlockDriver, Evaluator, Logic, PackedWord, SimKernel};
+use scanpower_suite::sim::{BlockDriver, Logic, PackedWord, SimKernel};
 
 const THREAD_COUNTS: [usize; 4] = [0, 2, 3, 8];
 
@@ -32,7 +32,7 @@ fn driver_blocks_match_scalar_evaluation_with_partial_tail_and_x() {
         .unwrap()
         .scaled(0.4)
         .generate(7);
-    let scalar = Evaluator::new(&circuit);
+    let mut scalar = SimKernel::<Logic>::new(&circuit);
     let prototype = SimKernel::<PackedWord>::new(&circuit);
     let width = prototype.inputs().len();
 

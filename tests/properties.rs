@@ -12,7 +12,7 @@ use scanpower_suite::netlist::generator::CircuitFamily;
 use scanpower_suite::netlist::{bench, techmap::TechMapper, GateKind, Netlist};
 use scanpower_suite::power::{reorder, LeakageEstimator, LeakageLibrary, LeakageObservability};
 use scanpower_suite::sim::kernel::pack_logic_patterns;
-use scanpower_suite::sim::{Evaluator, IncrementalSim, Logic, PackedWord, SimKernel};
+use scanpower_suite::sim::{Logic, PackedWord, SimKernel};
 use scanpower_suite::timing::Sta;
 
 const CASES: usize = 48;
@@ -97,8 +97,8 @@ fn techmap_preserves_function() {
         let inputs = 1 + rng.gen_range(0..4);
         let netlist = random_netlist(&mut rng, 20, inputs);
         let mapped = TechMapper::new().map(&netlist).unwrap();
-        let ev_a = Evaluator::new(&netlist);
-        let ev_b = Evaluator::new(&mapped);
+        let mut ev_a = SimKernel::<Logic>::new(&netlist);
+        let mut ev_b = SimKernel::<Logic>::new(&mapped);
         for _ in 0..8 {
             let assignment = random_assignment(&mut rng, inputs);
             let a = ev_a.evaluate(&netlist, &assignment);
@@ -128,7 +128,7 @@ fn random_ternary(rng: &mut ChaCha8Rng, width: usize, x_share: f64) -> Vec<Logic
         .collect()
 }
 
-/// The packed 64-wide kernel agrees with the scalar `Evaluator` lane by lane
+/// The packed 64-wide kernel agrees with the scalar kernel lane by lane
 /// on synthetic circuits from the generator, including `X` propagation.
 #[test]
 fn packed_kernel_agrees_with_scalar_on_generated_circuits() {
@@ -138,7 +138,7 @@ fn packed_kernel_agrees_with_scalar_on_generated_circuits() {
                 .unwrap()
                 .scaled(0.4)
                 .generate(seed);
-            let scalar = Evaluator::new(&circuit);
+            let mut scalar = SimKernel::<Logic>::new(&circuit);
             let mut packed = SimKernel::<PackedWord>::new(&circuit);
             let width = scalar.inputs().len();
 
@@ -173,7 +173,7 @@ fn packed_kernel_agrees_with_scalar_on_random_netlists() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x009a_c4ed ^ seed);
         let inputs = 1 + rng.gen_range(0..5);
         let netlist = random_netlist(&mut rng, 30, inputs);
-        let scalar = Evaluator::new(&netlist);
+        let mut scalar = SimKernel::<Logic>::new(&netlist);
         let mut packed = SimKernel::<PackedWord>::new(&netlist);
         let block: Vec<Vec<Logic>> = (0..32)
             .map(|_| random_ternary(&mut rng, inputs, 0.3))
@@ -204,7 +204,9 @@ fn techmap_exhaustive_equivalence() {
         let inputs: Vec<Logic> = (0..width)
             .map(|bit| Logic::from_bool((assignment >> bit) & 1 == 1))
             .collect();
-        Evaluator::new(netlist).evaluate(netlist, &inputs)
+        SimKernel::<Logic>::new(netlist)
+            .evaluate(netlist, &inputs)
+            .to_vec()
     }
 
     fn assert_equivalent(original: &Netlist, mapped: &Netlist) {
@@ -258,18 +260,25 @@ fn techmap_exhaustive_equivalence() {
 #[test]
 fn incremental_simulation_matches_full_evaluation() {
     let netlist = bench::parse(bench::S27_BENCH, "s27").unwrap();
-    let evaluator = Evaluator::new(&netlist);
-    let width = evaluator.inputs().len();
+    let mut reference = SimKernel::<Logic>::new(&netlist);
+    let kernel = SimKernel::<Logic>::new(&netlist);
+    let mut worklist = kernel.make_worklist();
+    let width = kernel.inputs().len();
     for seed in 0..CASES as u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(0x1c4e ^ seed);
         let mut current = random_assignment(&mut rng, width);
-        let mut sim = IncrementalSim::new(&netlist, &current);
+        let mut values = reference.evaluate(&netlist, &current).to_vec();
         for _ in 0..40 {
             let index = rng.gen_range(0..width);
             current[index] = Logic::from_bool(rng.gen_bool(0.5));
-            sim.apply(&netlist, &[(evaluator.inputs()[index], current[index])]);
-            let reference = evaluator.evaluate(&netlist, &current);
-            assert_eq!(sim.values(), reference.as_slice(), "seed {seed}");
+            let net = kernel.inputs()[index];
+            if values[net.index()] != current[index] {
+                values[net.index()] = current[index];
+                kernel.mark_net_changed(net, &mut worklist);
+            }
+            kernel.propagate_from(&netlist, &mut values, &mut worklist, |_, _, _| {});
+            let full = reference.evaluate(&netlist, &current);
+            assert_eq!(values, full, "seed {seed}");
         }
     }
 }
@@ -312,16 +321,16 @@ fn reordering_is_function_preserving_and_non_worsening() {
         let mut netlist = random_netlist(&mut rng, 20, inputs);
         let library = LeakageLibrary::cmos45();
         let estimator = LeakageEstimator::new(&netlist, &library);
-        let evaluator = Evaluator::new(&netlist);
+        let mut kernel = SimKernel::<Logic>::new(&netlist);
         let assignment = random_assignment(&mut rng, inputs);
-        let values = evaluator.evaluate(&netlist, &assignment);
+        let values = kernel.evaluate(&netlist, &assignment).to_vec();
         let before = estimator.circuit_leakage(&netlist, &values);
         let reference: Vec<Vec<Logic>> = (0..(1u32 << inputs))
             .map(|bits| {
                 let vector: Vec<Logic> = (0..inputs)
                     .map(|i| Logic::from_bool((bits >> i) & 1 == 1))
                     .collect();
-                evaluator.evaluate(&netlist, &vector)
+                kernel.evaluate(&netlist, &vector).to_vec()
             })
             .collect();
 
@@ -332,18 +341,18 @@ fn reordering_is_function_preserving_and_non_worsening() {
             "seed {seed}"
         );
 
-        let evaluator_after = Evaluator::new(&netlist);
+        let mut kernel_after = SimKernel::<Logic>::new(&netlist);
         let estimator_after = LeakageEstimator::new(&netlist, &library);
-        let values_after = evaluator_after.evaluate(&netlist, &assignment);
+        let values_after = kernel_after.evaluate(&netlist, &assignment);
         assert!(
-            estimator_after.circuit_leakage(&netlist, &values_after) <= before + 1e-9,
+            estimator_after.circuit_leakage(&netlist, values_after) <= before + 1e-9,
             "seed {seed}"
         );
         for (bits, reference_values) in reference.iter().enumerate() {
             let vector: Vec<Logic> = (0..inputs)
                 .map(|i| Logic::from_bool((bits >> i) & 1 == 1))
                 .collect();
-            let after = evaluator_after.evaluate(&netlist, &vector);
+            let after = kernel_after.evaluate(&netlist, &vector);
             for &po in netlist.primary_outputs() {
                 assert_eq!(
                     after[po.index()],

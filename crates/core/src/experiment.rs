@@ -22,9 +22,7 @@ use scanpower_netlist::Netlist;
 use scanpower_power::{DynamicPower, LeakageEstimator, LeakageLibrary, PackedShiftLeakage};
 use scanpower_sim::failpoint;
 use scanpower_sim::scan::{ScanPattern, ShiftConfig, ShiftStats};
-use scanpower_sim::{
-    BlockDriver, CancelFlag, Canceled, JobFailure, JobPolicy, PackedScanShiftSim, Propagation,
-};
+use scanpower_sim::{BlockDriver, CancelFlag, Canceled, JobFailure, JobPolicy, PackedScanShiftSim};
 use scanpower_wire::Wire;
 
 use crate::baseline::{traditional_shift_config, InputControlBaseline};
@@ -366,18 +364,16 @@ impl CircuitExperiment {
     ///
     /// The replay runs on the packed 64-pattern simulator
     /// ([`PackedScanShiftSim`]), propagating each shift cycle event-driven
-    /// ([`Propagation::EventDriven`]) so only what the cycle's changed nets
-    /// reach is re-evaluated and re-gathered. The static-power observer
-    /// ([`PackedShiftLeakage`]) gathers per-gate leakage lane-parallel from
-    /// the estimator's ternary tables
-    /// ([`LeakageLookup::LaneParallel`](scanpower_power::LeakageLookup::LaneParallel)),
-    /// skips the gates [`LintFacts::analyze_shift`] settles under this
-    /// scheme's forcing, and accumulates each block's lane leakages in the
-    /// scalar pattern-major order — so stats *and* power numbers are
-    /// bit-identical to the scalar pattern-at-a-time replay
+    /// so only what the cycle's changed nets reach is re-evaluated and
+    /// re-gathered. The static-power observer ([`PackedShiftLeakage`])
+    /// gathers per-gate leakage lane-parallel from the estimator's shared
+    /// ternary tables, skips the gates [`LintFacts::analyze_shift`] settles
+    /// under this scheme's forcing, and accumulates each block's lane
+    /// leakages in the scalar pattern-major order — so stats *and* power
+    /// numbers are bit-identical to the scalar pattern-at-a-time replay
     /// ([`ScanShiftSim`](scanpower_sim::scan::ScanShiftSim)). The suite's
-    /// `replay_identity` differential test pins that against every
-    /// reference path (scalar replay, full sweep, scalar lookup, no skip).
+    /// `replay_identity` differential test pins that against the scalar
+    /// replay, with and without the facts skip.
     ///
     /// # Errors
     ///
@@ -408,14 +404,9 @@ impl CircuitExperiment {
         let facts = LintFacts::analyze_shift(netlist, config);
         let mut leakage = PackedShiftLeakage::with_facts(netlist, &estimator, &facts);
         let stats = PackedScanShiftSim::new(netlist)
-            .run(
-                netlist,
-                patterns,
-                config,
-                Propagation::EventDriven,
-                cancel,
-                |cycle| leakage.observe_cycle(cycle),
-            )
+            .run(netlist, patterns, config, cancel, |cycle| {
+                leakage.observe_cycle(cycle)
+            })
             .map_err(|Canceled| ExperimentError::Canceled {
                 circuit: netlist.name().to_owned(),
             })?;
@@ -982,7 +973,7 @@ fn run_streamed(
 mod tests {
     use super::*;
     use scanpower_netlist::bench;
-    use scanpower_power::{LeakageAverage, LeakageLookup};
+    use scanpower_power::LeakageAverage;
 
     #[test]
     fn s27_row_shows_reductions() {
@@ -1038,7 +1029,7 @@ mod tests {
     ) -> (SchemePower, ShiftStats) {
         use scanpower_sim::scan::{ScanShiftSim, ShiftPhase};
         let library = LeakageLibrary::cmos45();
-        let estimator = LeakageEstimator::with_lookup(netlist, &library, LeakageLookup::Scalar);
+        let estimator = LeakageEstimator::new(netlist, &library);
         let mut leakage = LeakageAverage::new();
         let stats = ScanShiftSim::new(netlist).run_with_observer(
             netlist,

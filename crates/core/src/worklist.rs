@@ -1,6 +1,6 @@
 use std::collections::BTreeSet;
 
-use scanpower_netlist::{GateId, NetId, Netlist};
+use scanpower_netlist::{Gate, GateId, GateKind, NetId, Netlist};
 use scanpower_sim::Logic;
 
 /// The Transition Node Set / Transition Gate Set worklist of the paper.
@@ -69,77 +69,35 @@ impl TransitionWorklist {
     }
 
     /// The paper's `Update TNS, TGS` procedure.
+    ///
+    /// One pass computes the transitive closure of transition propagation
+    /// under the current values, classifying each transition node's load
+    /// edge once. The TGS is then the gates reached by a *pending* edge
+    /// (neither blocked nor propagating: a don't-care side input is still
+    /// there to exploit) whose output did not become a transition node.
     pub fn update(&mut self, netlist: &Netlist, values: &[Logic]) {
-        // Transitive closure of transition propagation under the current
-        // values.
         let mut queue: Vec<NetId> = self.transition_nodes.iter().copied().collect();
+        let mut pending: Vec<GateId> = Vec::new();
         while let Some(tn) = queue.pop() {
             for &(gate_id, pin) in netlist.loads(tn) {
                 let gate = netlist.gate(gate_id);
-                let output = gate.output;
-                if gate.kind.always_propagates() || gate.kind == scanpower_netlist::GateKind::Mux {
-                    if self.transition_nodes.insert(output) {
-                        queue.push(output);
+                match classify_edge(gate, pin, values) {
+                    Edge::Propagates => {
+                        if self.transition_nodes.insert(gate.output) {
+                            queue.push(gate.output);
+                        }
                     }
-                    continue;
-                }
-                let Some(controlling) = gate.kind.controlling_value() else {
-                    // Constants have no inputs; nothing to do.
-                    continue;
-                };
-                let controlling = Logic::from_bool(controlling);
-                let side_inputs: Vec<Logic> = gate
-                    .inputs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != pin)
-                    .map(|(_, &n)| values[n.index()])
-                    .collect();
-                if side_inputs.contains(&controlling) {
-                    // Blocked: a side input carries the controlling value.
-                    continue;
-                }
-                let all_non_controlling = side_inputs
-                    .iter()
-                    .all(|&v| v.is_known() && v != controlling);
-                if all_non_controlling || side_inputs.is_empty() {
-                    // The transition passes through.
-                    if self.transition_nodes.insert(output) {
-                        queue.push(output);
-                    }
+                    Edge::Pending => pending.push(gate_id),
+                    Edge::Blocked => {}
                 }
             }
         }
-
-        // Rebuild the TGS: gates fed by a transition node that are neither
-        // blocked nor already propagating, i.e. gates that still have a
-        // don't-care side input to exploit.
         self.transition_gates.clear();
-        for &tn in &self.transition_nodes {
-            for &(gate_id, pin) in netlist.loads(tn) {
-                let gate = netlist.gate(gate_id);
-                if gate.kind.always_propagates()
-                    || gate.kind == scanpower_netlist::GateKind::Mux
-                    || gate.kind.controlling_value().is_none()
-                {
-                    continue;
-                }
-                if self.transition_nodes.contains(&gate.output) {
-                    // Already propagating.
-                    continue;
-                }
-                let controlling = Logic::from_bool(gate.kind.controlling_value().unwrap());
-                let blocked = gate
-                    .inputs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != pin)
-                    .any(|(_, &n)| values[n.index()] == controlling);
-                if !blocked {
-                    self.transition_gates.insert(gate_id);
-                }
-            }
-        }
+        self.transition_gates.extend(
+            pending
+                .into_iter()
+                .filter(|&gate| !self.transition_nodes.contains(&netlist.gate(gate).output)),
+        );
     }
 
     /// Picks the transition gate with the largest output load capacitance
@@ -163,6 +121,49 @@ impl TransitionWorklist {
             .copied()
             .find(|n| self.transition_nodes.contains(n))?;
         Some((gate, tn))
+    }
+}
+
+/// What a transition on one gate input does under the current values.
+enum Edge {
+    /// The transition reaches the gate output.
+    Propagates,
+    /// A side input carries the gate's controlling value.
+    Blocked,
+    /// No side input is controlling, but one is still unknown: the gate
+    /// is a blocking opportunity.
+    Pending,
+}
+
+/// Classifies the transition entering `gate` on input `pin`: inverters,
+/// buffers, XOR/XNOR gates and multiplexers always propagate it; any other
+/// gate blocks it when a side input carries the controlling value,
+/// propagates it when every side input is known and non-controlling, and
+/// leaves it pending otherwise.
+fn classify_edge(gate: &Gate, pin: usize, values: &[Logic]) -> Edge {
+    if gate.kind.always_propagates() || gate.kind == GateKind::Mux {
+        return Edge::Propagates;
+    }
+    let Some(controlling) = gate.kind.controlling_value() else {
+        // Constants have no inputs, so no transition enters them.
+        return Edge::Blocked;
+    };
+    let controlling = Logic::from_bool(controlling);
+    let mut unknown_side = false;
+    for (i, &input) in gate.inputs.iter().enumerate() {
+        if i == pin {
+            continue;
+        }
+        let value = values[input.index()];
+        if value == controlling {
+            return Edge::Blocked;
+        }
+        unknown_side |= !value.is_known();
+    }
+    if unknown_side {
+        Edge::Pending
+    } else {
+        Edge::Propagates
     }
 }
 
@@ -242,6 +243,99 @@ mod tests {
         assert!(worklist.is_done());
         let g3 = n.net_by_name("g3").unwrap();
         assert!(worklist.transition_nodes().contains(&g3));
+    }
+
+    /// The one-pass update against the two-pass procedure it replaced (a
+    /// closure loop, then a TGS rebuild that classifies every transition
+    /// node's loads again), on a generated circuit under random partial
+    /// assignments of its inputs: identical node and gate sets.
+    #[test]
+    fn one_pass_update_matches_two_pass_reference() {
+        use scanpower_netlist::generator::CircuitFamily;
+        use scanpower_sim::patterns::random_bool_patterns;
+
+        fn reference(netlist: &Netlist, sources: &[NetId], values: &[Logic]) -> TransitionWorklist {
+            let mut nodes: BTreeSet<NetId> = sources.iter().copied().collect();
+            let side_values = |gate: &Gate, pin: usize| -> Vec<Logic> {
+                let sides = gate
+                    .inputs
+                    .iter()
+                    .enumerate()
+                    .filter(move |&(i, _)| i != pin);
+                sides.map(|(_, &n)| values[n.index()]).collect()
+            };
+            let mut queue: Vec<NetId> = nodes.iter().copied().collect();
+            while let Some(tn) = queue.pop() {
+                for &(gate_id, pin) in netlist.loads(tn) {
+                    let gate = netlist.gate(gate_id);
+                    let passes = gate.kind.always_propagates()
+                        || gate.kind == GateKind::Mux
+                        || gate.kind.controlling_value().is_some_and(|c| {
+                            let c = Logic::from_bool(c);
+                            let sides = side_values(gate, pin);
+                            !sides.contains(&c) && sides.iter().all(|v| v.is_known())
+                        });
+                    if passes && nodes.insert(gate.output) {
+                        queue.push(gate.output);
+                    }
+                }
+            }
+            let mut gates = BTreeSet::new();
+            for &tn in &nodes {
+                for &(gate_id, pin) in netlist.loads(tn) {
+                    let gate = netlist.gate(gate_id);
+                    let Some(c) = gate.kind.controlling_value() else {
+                        continue;
+                    };
+                    if gate.kind.always_propagates()
+                        || gate.kind == GateKind::Mux
+                        || nodes.contains(&gate.output)
+                    {
+                        continue;
+                    }
+                    if !side_values(gate, pin).contains(&Logic::from_bool(c)) {
+                        gates.insert(gate_id);
+                    }
+                }
+            }
+            TransitionWorklist {
+                transition_nodes: nodes,
+                transition_gates: gates,
+            }
+        }
+
+        let n = CircuitFamily::iscas89_like("s382")
+            .unwrap()
+            .scaled(0.5)
+            .generate(4);
+        let mut kernel = SimKernel::<Logic>::new(&n);
+        let width = kernel.inputs().len();
+        let pseudo = n.pseudo_inputs();
+        let mut non_trivial = 0;
+        for (round, bits) in random_bool_patterns(width, 24, 19).iter().enumerate() {
+            // One input in five unknown; the pseudo-inputs of every other
+            // scan cell are the transition sources.
+            let inputs: Vec<Logic> = bits
+                .iter()
+                .enumerate()
+                .map(|(i, &bit)| {
+                    if (7 * i + round) % 5 == 0 {
+                        Logic::X
+                    } else {
+                        Logic::from_bool(bit)
+                    }
+                })
+                .collect();
+            let values = kernel.evaluate(&n, &inputs).to_vec();
+            let sources: Vec<NetId> = pseudo.iter().copied().skip(round % 2).step_by(2).collect();
+            let worklist = TransitionWorklist::new(&n, &sources, &values);
+            assert_eq!(worklist, reference(&n, &sources, &values), "round {round}");
+            non_trivial += usize::from(!worklist.is_done());
+        }
+        assert!(
+            non_trivial > 0,
+            "some round must leave a blocking opportunity"
+        );
     }
 
     #[test]

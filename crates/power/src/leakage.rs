@@ -100,54 +100,45 @@ impl LeakageLibrary {
     }
 }
 
-/// Which per-gate lookup the packed 64-lane leakage paths use.
-///
-/// Both modes are **bit-identical** — the lane-parallel tables are filled
-/// by the scalar lookup itself — so the scalar mode exists purely as the
-/// reference the tests compare the precompute against (and as the
-/// measuring stick in the `scan_shift` leakage-lookup bench).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LeakageLookup {
-    /// Precompute per-gate ternary tables at build time and look every
-    /// lane's state up with one bit-plane gather per gate (the default).
-    #[default]
-    LaneParallel,
-    /// Re-run the scalar `averaged_table_lookup` subset enumeration for
-    /// every gate × lane (the pre-precompute behaviour).
-    Scalar,
-}
-
-/// Circuit-level leakage estimator with per-gate cached tables.
+/// Circuit-level leakage estimator with cached per-state tables.
 ///
 /// The estimator is built once per netlist (the tables depend only on gate
 /// kinds and fanins) and can then evaluate the total leakage of any circuit
 /// state cheaply — including partially-specified states, where unknown
 /// inputs are averaged over.
 ///
-/// For the packed lane-parallel paths ([`circuit_leakage_lanes`], 64 lanes
-/// with [`PackedWord`]) the estimator
-/// additionally precomputes **ternary tables**: one entry per 2-bit-per-pin
-/// encoded input state (`00` = 0, `01` = 1, high bit set = X), holding the
-/// already-X-averaged leakage. Every entry is filled by the scalar
-/// `averaged_table_lookup` itself, so the fast path is bit-identical to
-/// the scalar one by construction. Gates wider than
-/// [`LeakageEstimator::TERNARY_FANIN_LIMIT`] pins (whose `4^fanin` table
-/// would be too large) fall back to the scalar lookup per lane, as does the
-/// whole estimator when built with [`LeakageLookup::Scalar`]. The ternary
-/// tables are deduplicated by `(kind, fanin)`, so a netlist full of NAND2s
-/// builds exactly one 16-entry table.
+/// The tables are shared: the estimator keeps one slot per distinct
+/// `(kind, fanin)` of the netlist, and each gate holds only the index of
+/// its slot, so a netlist full of NAND2s builds exactly one 4-entry binary
+/// table. For the packed lane-parallel paths ([`circuit_leakage_lanes`],
+/// 64 lanes with [`PackedWord`]) a slot also holds a **ternary table**:
+/// one entry per 2-bit-per-pin encoded input state (`00` = 0, `01` = 1,
+/// high bit set = X), holding the already-X-averaged leakage. Every entry
+/// is filled by the scalar `averaged_table_lookup` itself, so the fast
+/// path is bit-identical to the scalar one by construction. Gates wider
+/// than [`LeakageEstimator::TERNARY_FANIN_LIMIT`] pins (whose `4^fanin`
+/// table would be too large) have no ternary table and fall back to the
+/// scalar lookup per lane.
 ///
 /// [`circuit_leakage_lanes`]: LeakageEstimator::circuit_leakage_lanes
 #[derive(Debug, Clone)]
 pub struct LeakageEstimator {
-    tables: Vec<Vec<f64>>,
-    /// Per gate: index into `ternary_tables`, or `None` when the gate falls
-    /// back to the scalar lookup (fanin above the cap, or scalar mode).
-    ternary: Vec<Option<usize>>,
-    /// Precomputed ternary tables, deduplicated by `(kind, fanin)`.
-    ternary_tables: Vec<Vec<f64>>,
-    lookup: LeakageLookup,
+    /// Per gate: index into `slots`.
+    slot: Vec<usize>,
+    /// The tables of each distinct `(kind, fanin)`, in order of first
+    /// appearance in the netlist.
+    slots: Vec<TableSlot>,
     library: LeakageLibrary,
+}
+
+/// The leakage tables shared by every gate of one `(kind, fanin)`.
+#[derive(Debug, Clone)]
+struct TableSlot {
+    /// Leakage per binary input state (`2^fanin` entries).
+    binary: Vec<f64>,
+    /// Averaged leakage per ternary state code (`4^fanin` entries), for
+    /// fanins up to [`LeakageEstimator::TERNARY_FANIN_LIMIT`].
+    ternary: Option<Vec<f64>>,
 }
 
 impl LeakageEstimator {
@@ -156,57 +147,37 @@ impl LeakageEstimator {
     /// Wider gates use the scalar subset enumeration per lane.
     pub const TERNARY_FANIN_LIMIT: usize = 10;
 
-    /// Builds the estimator for `netlist` using `library`, with the
-    /// lane-parallel lookup tables precomputed.
+    /// Builds the estimator for `netlist` using `library`, with one shared
+    /// table slot per distinct gate `(kind, fanin)`.
     #[must_use]
     pub fn new(netlist: &Netlist, library: &LeakageLibrary) -> LeakageEstimator {
-        LeakageEstimator::with_lookup(netlist, library, LeakageLookup::LaneParallel)
-    }
-
-    /// Builds the estimator with an explicit packed-path lookup mode
-    /// ([`LeakageLookup::Scalar`] skips the ternary precompute entirely —
-    /// the reference the tests compare the lane-parallel gather against).
-    #[must_use]
-    pub fn with_lookup(
-        netlist: &Netlist,
-        library: &LeakageLibrary,
-        lookup: LeakageLookup,
-    ) -> LeakageEstimator {
-        let tables: Vec<Vec<f64>> = netlist
+        let mut shared: std::collections::HashMap<(GateKind, usize), usize> =
+            std::collections::HashMap::new();
+        let mut slots = Vec::new();
+        let slot = netlist
             .gates()
             .iter()
-            .map(|gate| library.gate_table(gate.kind, gate.fanin()))
-            .collect();
-        let mut ternary = vec![None; tables.len()];
-        let mut ternary_tables = Vec::new();
-        if lookup == LeakageLookup::LaneParallel {
-            let mut shared: std::collections::HashMap<(GateKind, usize), usize> =
-                std::collections::HashMap::new();
-            for (index, gate) in netlist.gates().iter().enumerate() {
+            .map(|gate| {
                 let fanin = gate.fanin();
-                if fanin > LeakageEstimator::TERNARY_FANIN_LIMIT {
-                    continue;
-                }
-                let slot = *shared.entry((gate.kind, fanin)).or_insert_with(|| {
-                    ternary_tables.push(build_ternary_table(&tables[index], fanin));
-                    ternary_tables.len() - 1
-                });
-                ternary[index] = Some(slot);
-            }
-        }
+                *shared.entry((gate.kind, fanin)).or_insert_with(|| {
+                    let binary = library.gate_table(gate.kind, fanin);
+                    let ternary = (fanin <= LeakageEstimator::TERNARY_FANIN_LIMIT)
+                        .then(|| build_ternary_table(&binary, fanin));
+                    slots.push(TableSlot { binary, ternary });
+                    slots.len() - 1
+                })
+            })
+            .collect();
         LeakageEstimator {
-            tables,
-            ternary,
-            ternary_tables,
-            lookup,
+            slot,
+            slots,
             library: library.clone(),
         }
     }
 
-    /// The packed-path lookup mode the estimator was built with.
-    #[must_use]
-    pub fn lookup(&self) -> LeakageLookup {
-        self.lookup
+    /// The table slot of `gate`.
+    fn tables(&self, gate: GateId) -> &TableSlot {
+        &self.slots[self.slot[gate.index()]]
     }
 
     /// The library the estimator was built from.
@@ -219,7 +190,7 @@ impl LeakageEstimator {
     /// values. Unknown inputs are averaged over both values.
     #[must_use]
     pub fn gate_leakage(&self, netlist: &Netlist, gate: GateId, values: &[Logic]) -> f64 {
-        let table = &self.tables[gate.index()];
+        let table = &self.tables(gate).binary;
         let g = netlist.gate(gate);
         averaged_table_lookup(table, g.inputs.iter().map(|&input| values[input.index()]))
     }
@@ -260,8 +231,8 @@ impl LeakageEstimator {
     /// ([`lane_state_indices`](scanpower_sim::kernel::lane_state_indices))
     /// and the averaged leakage is read with one table load per lane —
     /// no per-lane pin decoding, no X-completion enumeration. Gates without
-    /// a table (fanin above [`LeakageEstimator::TERNARY_FANIN_LIMIT`], or a
-    /// [`LeakageLookup::Scalar`] estimator) run the scalar subset
+    /// a ternary table (fanin above
+    /// [`LeakageEstimator::TERNARY_FANIN_LIMIT`]) run the scalar subset
     /// enumeration per lane; both produce bit-identical sums because the
     /// tables were filled by that very enumeration and the per-lane
     /// accumulation order (gate by gate, in netlist order) is the same.
@@ -295,10 +266,10 @@ impl LeakageEstimator {
     /// [`circuit_leakage_lanes_into`](LeakageEstimator::circuit_leakage_lanes_into).
     /// The scan-shift observer ([`PackedShiftLeakage`]) refills with it the
     /// private lane table of every gate its one-byte state codes cannot
-    /// describe (more than 4 pins, or a [`LeakageLookup::Scalar`]
-    /// estimator) when the gate's input state changed. Each written value
-    /// is exactly the float the scalar [`LeakageEstimator::gate_leakage`]
-    /// would produce for that lane's decoded state.
+    /// describe (more than 4 pins) when the gate's input state changed.
+    /// Each written value is exactly the float the scalar
+    /// [`LeakageEstimator::gate_leakage`] would produce for that lane's
+    /// decoded state.
     ///
     /// # Panics
     ///
@@ -323,19 +294,19 @@ impl LeakageEstimator {
             *word = values[input.index()];
         }
         let pins = &pin_words[..fanin];
-        if let Some(slot) = self.ternary[gate_id.index()] {
+        let tables = self.tables(gate_id);
+        if let Some(table) = &tables.ternary {
             // One bit-plane transpose into a stack index buffer, then one
             // table load per lane.
-            let table = &self.ternary_tables[slot];
             let mut indices = [0u32; 64];
             kernel::lane_state_indices(pins, lanes, &mut indices);
             for (slot, &index) in out[..lanes].iter_mut().zip(&indices[..lanes]) {
                 *slot = table[index as usize];
             }
         } else {
-            let table = &self.tables[gate_id.index()];
             for (lane, slot) in out[..lanes].iter_mut().enumerate() {
-                *slot = averaged_table_lookup(table, pins.iter().map(|word| word.lane(lane)));
+                *slot =
+                    averaged_table_lookup(&tables.binary, pins.iter().map(|word| word.lane(lane)));
             }
         }
     }
@@ -507,8 +478,7 @@ impl LeakageAverage {
 /// than the lane's leakage float: the 2-bit-per-pin ternary code of
 /// [`lane_state_bytes`](scanpower_sim::kernel::lane_state_bytes) for gates
 /// of at most 4 pins, which indexes the estimator's shared ternary table.
-/// Wider gates, and every gate of a [`LeakageLookup::Scalar`] estimator,
-/// get a private 64-entry lane table refilled by
+/// Wider gates get a private 64-entry lane table refilled by
 /// [`LeakageEstimator::gate_leakage_lanes_into`] and the fixed codes
 /// `0..64`, so every gate is read through the same table indirection. The
 /// codes are stored chunk-major, 8 lanes per `u64`: 64 bytes per gate
@@ -543,7 +513,7 @@ impl LeakageAverage {
 /// use scanpower_netlist::bench;
 /// use scanpower_power::{LeakageEstimator, LeakageLibrary, PackedShiftLeakage};
 /// use scanpower_sim::scan::{ScanPattern, ShiftConfig};
-/// use scanpower_sim::{PackedScanShiftSim, Propagation};
+/// use scanpower_sim::PackedScanShiftSim;
 ///
 /// let circuit = bench::parse(bench::S27_BENCH, "s27")?;
 /// let library = LeakageLibrary::cmos45();
@@ -559,7 +529,6 @@ impl LeakageAverage {
 ///     &circuit,
 ///     &patterns,
 ///     &config,
-///     Propagation::EventDriven,
 ///     None,
 ///     |cycle| observer.observe_cycle(cycle),
 /// )?;
@@ -640,18 +609,19 @@ impl<'a> PackedShiftLeakage<'a> {
         let mut table_start = Vec::with_capacity(gate_count);
         let mut tables = Vec::new();
         let mut codes = vec![0u64; gate_count * CHUNKS];
-        // Shared ternary table slot -> its start in `tables`.
-        let mut shared_start = vec![None; estimator.ternary_tables.len()];
+        // Estimator table slot -> the start of its ternary table in `tables`.
+        let mut shared_start = vec![None; estimator.slots.len()];
         for gate_id in netlist.gate_ids() {
             let index = gate_id.index();
             let inputs = &netlist.gate(gate_id).inputs;
             pin_start.push(pin_nets.len() as u32);
             pin_nets.extend(inputs.iter().map(|net| net.index() as u32));
-            match estimator.ternary[index] {
-                Some(slot) if inputs.len() <= kernel::STATE_BYTE_MAX_PINS => {
+            let slot = estimator.slot[index];
+            match &estimator.slots[slot].ternary {
+                Some(ternary) if inputs.len() <= kernel::STATE_BYTE_MAX_PINS => {
                     let start = *shared_start[slot].get_or_insert_with(|| {
-                        tables.extend_from_slice(&estimator.ternary_tables[slot]);
-                        tables.len() - estimator.ternary_tables[slot].len()
+                        tables.extend_from_slice(ternary);
+                        tables.len() - ternary.len()
                     });
                     source.push(CodeSource::Bytes);
                     table_start.push(start as u32);
@@ -893,7 +863,7 @@ mod tests {
     use super::*;
     use scanpower_netlist::{bench, GateKind, Netlist};
     use scanpower_sim::scan::{ScanPattern, ShiftConfig, ShiftStats};
-    use scanpower_sim::{PackedScanShiftSim, Propagation, SimKernel};
+    use scanpower_sim::{PackedScanShiftSim, SimKernel};
 
     /// The packed replay without a cancel flag (which never fails), every
     /// event handed to `observer`.
@@ -901,11 +871,10 @@ mod tests {
         n: &Netlist,
         patterns: &[ScanPattern],
         config: &ShiftConfig,
-        propagation: Propagation,
         observer: impl FnMut(&ShiftCycle<'_>),
     ) -> ShiftStats {
         PackedScanShiftSim::new(n)
-            .run(n, patterns, config, propagation, None, observer)
+            .run(n, patterns, config, None, observer)
             .expect("a replay without a cancel flag never fails")
     }
 
@@ -1081,13 +1050,12 @@ mod tests {
         // The replay's changed-net delta is stripped, so every shift state
         // takes the observer's full-gather path.
         let mut packed_average = PackedShiftLeakage::new(&n, &estimator);
-        let packed_stats =
-            packed_replay(&n, &patterns, &config, Propagation::EventDriven, |cycle| {
-                packed_average.observe_cycle(&ShiftCycle {
-                    changed: None,
-                    ..*cycle
-                });
+        let packed_stats = packed_replay(&n, &patterns, &config, |cycle| {
+            packed_average.observe_cycle(&ShiftCycle {
+                changed: None,
+                ..*cycle
             });
+        });
         let packed_average = packed_average.into_average();
 
         assert_eq!(packed_stats, scalar_stats);
@@ -1102,9 +1070,7 @@ mod tests {
     /// The event-driven delta observer (`observe_cycle` fed by the
     /// event-driven replay's changed-net lists) must reproduce the scalar
     /// observer's static-power average **bit for bit** — across full and
-    /// partial blocks, X-carrying patterns, low-activity (forced/held)
-    /// configurations, and both lookup modes — and so must the full-sweep
-    /// cross-check.
+    /// partial blocks and low-activity (forced/held) configurations.
     #[test]
     fn event_driven_delta_observer_matches_scalar_observer_bitwise() {
         use scanpower_sim::patterns::random_bool_patterns;
@@ -1112,6 +1078,7 @@ mod tests {
 
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let library = LeakageLibrary::cmos45();
+        let estimator = LeakageEstimator::new(&n, &library);
         let pi = n.primary_inputs().len();
         let ff = n.dff_count();
         let patterns: Vec<ScanPattern> = random_bool_patterns(pi + ff, 70, 17)
@@ -1124,30 +1091,24 @@ mod tests {
         let mut low_activity = ShiftConfig::with_pi_control(ff, vec![Logic::Zero; pi]);
         low_activity.forced_pseudo[0] = Some(Logic::One);
         for config in [ShiftConfig::traditional(ff), low_activity] {
-            for lookup in [LeakageLookup::LaneParallel, LeakageLookup::Scalar] {
-                let estimator = LeakageEstimator::with_lookup(&n, &library, lookup);
-
-                let mut scalar_average = LeakageAverage::new();
-                ScanShiftSim::new(&n).run_with_observer(&n, &patterns, &config, |phase, values| {
-                    if phase == ShiftPhase::Shift {
-                        scalar_average.add(estimator.circuit_leakage(&n, values));
-                    }
-                });
-
-                for propagation in [Propagation::EventDriven, Propagation::FullSweep] {
-                    let mut observer = PackedShiftLeakage::new(&n, &estimator);
-                    packed_replay(&n, &patterns, &config, propagation, |cycle| {
-                        observer.observe_cycle(cycle);
-                    });
-                    let average = observer.into_average();
-                    assert_eq!(average.samples(), scalar_average.samples());
-                    assert_eq!(
-                        average.average_na().to_bits(),
-                        scalar_average.average_na().to_bits(),
-                        "{propagation:?} / {lookup:?} average must be bit-identical"
-                    );
+            let mut scalar_average = LeakageAverage::new();
+            ScanShiftSim::new(&n).run_with_observer(&n, &patterns, &config, |phase, values| {
+                if phase == ShiftPhase::Shift {
+                    scalar_average.add(estimator.circuit_leakage(&n, values));
                 }
-            }
+            });
+
+            let mut observer = PackedShiftLeakage::new(&n, &estimator);
+            packed_replay(&n, &patterns, &config, |cycle| {
+                observer.observe_cycle(cycle);
+            });
+            let average = observer.into_average();
+            assert_eq!(average.samples(), scalar_average.samples());
+            assert_eq!(
+                average.average_na().to_bits(),
+                scalar_average.average_na().to_bits(),
+                "{config:?}: average must be bit-identical"
+            );
         }
     }
 
@@ -1162,8 +1123,7 @@ mod tests {
 
     /// A facts-carrying observer must reproduce the plain observer (and the
     /// scalar replay) **bit for bit** while actually skipping gates — on a
-    /// low-activity configuration, across full and partial blocks, both
-    /// propagation modes and both lookup modes.
+    /// low-activity configuration, across full and partial blocks.
     #[test]
     fn facts_skipping_observer_matches_scalar_observer_bitwise() {
         use scanpower_lint::LintFacts;
@@ -1172,6 +1132,7 @@ mod tests {
 
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let library = LeakageLibrary::cmos45();
+        let estimator = LeakageEstimator::new(&n, &library);
         let pi = n.primary_inputs().len();
         let ff = n.dff_count();
         // 300 patterns: four full 64-lane blocks and a partial one.
@@ -1191,38 +1152,32 @@ mod tests {
             "the low-activity config must settle at least one gate"
         );
 
-        for lookup in [LeakageLookup::LaneParallel, LeakageLookup::Scalar] {
-            let estimator = LeakageEstimator::with_lookup(&n, &library, lookup);
-            let mut scalar_average = LeakageAverage::new();
-            ScanShiftSim::new(&n).run_with_observer(&n, &patterns, &config, |phase, values| {
-                if phase == ShiftPhase::Shift {
-                    scalar_average.add(estimator.circuit_leakage(&n, values));
-                }
-            });
-
-            for propagation in [Propagation::EventDriven, Propagation::FullSweep] {
-                let mut packed = PackedShiftLeakage::with_facts(&n, &estimator, &facts);
-                assert_eq!(packed.static_gates_skipped(), facts.static_gate_count());
-                packed_replay(&n, &patterns, &config, propagation, |cycle| {
-                    packed.observe_cycle(cycle);
-                });
-                let packed = packed.into_average();
-                assert_eq!(packed.samples(), scalar_average.samples());
-                assert_eq!(
-                    packed.average_na().to_bits(),
-                    scalar_average.average_na().to_bits(),
-                    "{propagation:?} / {lookup:?}: facts-skipping 64-lane average"
-                );
+        let mut scalar_average = LeakageAverage::new();
+        ScanShiftSim::new(&n).run_with_observer(&n, &patterns, &config, |phase, values| {
+            if phase == ShiftPhase::Shift {
+                scalar_average.add(estimator.circuit_leakage(&n, values));
             }
-        }
+        });
+
+        let mut packed = PackedShiftLeakage::with_facts(&n, &estimator, &facts);
+        assert_eq!(packed.static_gates_skipped(), facts.static_gate_count());
+        packed_replay(&n, &patterns, &config, |cycle| {
+            packed.observe_cycle(cycle);
+        });
+        let packed = packed.into_average();
+        assert_eq!(packed.samples(), scalar_average.samples());
+        assert_eq!(
+            packed.average_na().to_bits(),
+            scalar_average.average_na().to_bits(),
+            "facts-skipping 64-lane average"
+        );
     }
 
     /// Gates wider than the byte codes hold (5 and 10 pins, with ternary
     /// tables) and wider than the ternary precompute (11 pins) take the
     /// observer's private lane tables: the plain and the facts-skipping
     /// observer must still reproduce the scalar replay's average **bit for
-    /// bit**, with X-carrying patterns, a partial final block, both
-    /// propagation modes and both lookup modes.
+    /// bit**, with X-carrying patterns and a partial final block.
     #[test]
     fn wide_gate_leakage_observer_matches_scalar_observer_bitwise() {
         use rand::{Rng, SeedableRng};
@@ -1252,9 +1207,9 @@ mod tests {
         let library = LeakageLibrary::cmos45();
         // 10 pins still get a ternary table, 11 fall back to the scalar
         // enumeration.
-        let lane_parallel = LeakageEstimator::new(&n, &library);
-        assert!(lane_parallel.ternary[gate("w10").index()].is_some());
-        assert!(lane_parallel.ternary[gate("w11").index()].is_none());
+        let estimator = LeakageEstimator::new(&n, &library);
+        assert!(estimator.tables(gate("w10")).ternary.is_some());
+        assert!(estimator.tables(gate("w11")).ternary.is_none());
         let pi = n.primary_inputs().len();
         let ff = n.dff_count();
         // 70 X-carrying patterns: a full 64-lane block plus a 6-lane tail.
@@ -1288,41 +1243,36 @@ mod tests {
         assert!(held_facts.is_static_gate(gate("ws")));
         assert!(!held_facts.is_static_gate(gate("w11")));
 
-        for lookup in [LeakageLookup::LaneParallel, LeakageLookup::Scalar] {
-            let estimator = LeakageEstimator::with_lookup(&n, &library, lookup);
-            for (config, facts) in [
-                (ShiftConfig::traditional(ff), None),
-                (held.clone(), Some(&held_facts)),
-            ] {
-                let mut scalar_average = LeakageAverage::new();
-                ScanShiftSim::new(&n).run_with_observer(&n, &patterns, &config, |phase, values| {
-                    if phase == ShiftPhase::Shift {
-                        scalar_average.add(estimator.circuit_leakage(&n, values));
-                    }
-                });
-                for propagation in [Propagation::EventDriven, Propagation::FullSweep] {
-                    let mut observers = vec![PackedShiftLeakage::new(&n, &estimator)];
-                    if let Some(facts) = facts {
-                        observers.push(PackedShiftLeakage::with_facts(&n, &estimator, facts));
-                        assert_eq!(
-                            observers[1].static_gates_skipped(),
-                            facts.static_gate_count()
-                        );
-                    }
-                    for mut observer in observers {
-                        let skipped = observer.static_gates_skipped();
-                        packed_replay(&n, &patterns, &config, propagation, |cycle| {
-                            observer.observe_cycle(cycle);
-                        });
-                        let average = observer.into_average();
-                        assert_eq!(average.samples(), scalar_average.samples());
-                        assert_eq!(
-                            average.average_na().to_bits(),
-                            scalar_average.average_na().to_bits(),
-                            "{lookup:?} / {propagation:?} / {skipped} static gates"
-                        );
-                    }
+        for (config, facts) in [
+            (ShiftConfig::traditional(ff), None),
+            (held, Some(&held_facts)),
+        ] {
+            let mut scalar_average = LeakageAverage::new();
+            ScanShiftSim::new(&n).run_with_observer(&n, &patterns, &config, |phase, values| {
+                if phase == ShiftPhase::Shift {
+                    scalar_average.add(estimator.circuit_leakage(&n, values));
                 }
+            });
+            let mut observers = vec![PackedShiftLeakage::new(&n, &estimator)];
+            if let Some(facts) = facts {
+                observers.push(PackedShiftLeakage::with_facts(&n, &estimator, facts));
+                assert_eq!(
+                    observers[1].static_gates_skipped(),
+                    facts.static_gate_count()
+                );
+            }
+            for mut observer in observers {
+                let skipped = observer.static_gates_skipped();
+                packed_replay(&n, &patterns, &config, |cycle| {
+                    observer.observe_cycle(cycle);
+                });
+                let average = observer.into_average();
+                assert_eq!(average.samples(), scalar_average.samples());
+                assert_eq!(
+                    average.average_na().to_bits(),
+                    scalar_average.average_na().to_bits(),
+                    "{skipped} static gates"
+                );
             }
         }
     }
@@ -1349,12 +1299,12 @@ mod tests {
         assert_eq!(facts.static_gate_count(), 0);
 
         let mut plain = PackedShiftLeakage::new(&n, &estimator);
-        packed_replay(&n, &patterns, &config, Propagation::EventDriven, |cycle| {
+        packed_replay(&n, &patterns, &config, |cycle| {
             plain.observe_cycle(cycle);
         });
         let mut with_facts = PackedShiftLeakage::with_facts(&n, &estimator, &facts);
         assert_eq!(with_facts.static_gates_skipped(), 0);
-        packed_replay(&n, &patterns, &config, Propagation::EventDriven, |cycle| {
+        packed_replay(&n, &patterns, &config, |cycle| {
             with_facts.observe_cycle(cycle);
         });
         assert_eq!(
@@ -1413,12 +1363,9 @@ mod tests {
             }
 
             let lane_parallel = LeakageEstimator::new(&n, &library);
-            let scalar_lookup = LeakageEstimator::with_lookup(&n, &library, LeakageLookup::Scalar);
-            assert_eq!(lane_parallel.lookup(), LeakageLookup::LaneParallel);
-            assert!(scalar_lookup.ternary_tables.is_empty());
             for &gate in &gates {
                 assert_eq!(
-                    lane_parallel.ternary[gate.index()].is_some(),
+                    lane_parallel.tables(gate).ternary.is_some(),
                     fanin <= LeakageEstimator::TERNARY_FANIN_LIMIT,
                     "fanin {fanin}: precompute must respect the threshold"
                 );
@@ -1447,7 +1394,6 @@ mod tests {
                     .to_vec();
 
                 let fast = lane_parallel.circuit_leakage_lanes(&n, &packed, lanes);
-                let slow = scalar_lookup.circuit_leakage_lanes(&n, &packed, lanes);
                 for (lane, pattern) in patterns.iter().enumerate() {
                     let reference = lane_parallel.circuit_leakage(&n, ev.evaluate(&n, pattern));
                     assert_eq!(
@@ -1455,12 +1401,6 @@ mod tests {
                         reference.to_bits(),
                         "fanin {fanin}, density {density}, lane {lane}: \
                          lane-parallel lookup must be bit-identical"
-                    );
-                    assert_eq!(
-                        slow[lane].to_bits(),
-                        reference.to_bits(),
-                        "fanin {fanin}, density {density}, lane {lane}: \
-                         scalar-lookup fallback must be bit-identical"
                     );
                 }
 
@@ -1473,6 +1413,46 @@ mod tests {
                     assert_eq!(value.to_bits(), fast[lane].to_bits());
                 }
             }
+        }
+    }
+
+    /// The estimator shares its tables: over a generated Table I family it
+    /// holds exactly one slot — one `2^fanin` binary table, plus the
+    /// ternary table up to the precompute cap — per distinct gate
+    /// `(kind, fanin)`, and every gate points at the slot of its own kind
+    /// and fanin.
+    #[test]
+    fn estimator_holds_one_table_per_kind_and_fanin() {
+        use scanpower_netlist::generator::CircuitFamily;
+        use std::collections::HashMap;
+
+        let n = CircuitFamily::iscas89_like("s1423")
+            .unwrap()
+            .scaled(0.3)
+            .generate(1);
+        let estimator = LeakageEstimator::new(&n, &LeakageLibrary::cmos45());
+        let mut slot_of: HashMap<(GateKind, usize), usize> = HashMap::new();
+        for gate_id in n.gate_ids() {
+            let gate = n.gate(gate_id);
+            let slot = estimator.slot[gate_id.index()];
+            assert_eq!(
+                *slot_of.entry((gate.kind, gate.fanin())).or_insert(slot),
+                slot,
+                "{:?}/{}: one slot per (kind, fanin)",
+                gate.kind,
+                gate.fanin()
+            );
+        }
+        assert_eq!(estimator.slots.len(), slot_of.len());
+        assert!(estimator.slots.len() < n.gate_count());
+        for (&(kind, fanin), &slot) in &slot_of {
+            let tables = &estimator.slots[slot];
+            assert_eq!(tables.binary.len(), 1 << fanin, "{kind:?}/{fanin}");
+            assert_eq!(
+                tables.ternary.as_ref().map(Vec::len),
+                (fanin <= LeakageEstimator::TERNARY_FANIN_LIMIT).then(|| 1 << (2 * fanin)),
+                "{kind:?}/{fanin}"
+            );
         }
     }
 

@@ -47,7 +47,5 @@ pub mod reorder;
 
 pub use dynamic::{DynamicPower, DynamicPowerReport};
 pub use ivc::{InputVectorControl, IvcResult};
-pub use leakage::{
-    LeakageAverage, LeakageEstimator, LeakageLibrary, LeakageLookup, PackedShiftLeakage,
-};
+pub use leakage::{LeakageAverage, LeakageEstimator, LeakageLibrary, PackedShiftLeakage};
 pub use observability::LeakageObservability;

@@ -18,13 +18,12 @@
 //! * [`scan`] — test-per-scan shift simulation ([`scan::ScanShiftSim`]) with
 //!   per-net transition counts and per-cycle state observation.
 //! * [`scan_packed`] — the packed multi-pattern scan-shift replay
-//!   ([`scan_packed::PackedScanShiftSim`]): one kernel pass per shift cycle
-//!   evaluates a block of 64 patterns' circuit states at once, with
-//!   popcount-based transition counting and a lane-aware observer;
-//!   event-driven by default ([`scan_packed::Propagation`]), re-evaluating
-//!   only the fanout cones of the nets each cycle actually changed;
-//!   bit-identical [`scan::ShiftStats`] to the scalar replay in either
-//!   mode.
+//!   ([`scan_packed::PackedScanShiftSim`]): each shift cycle settles a
+//!   block of 64 patterns' circuit states at once, event-driven —
+//!   re-evaluating only the fanout cones of the nets the cycle actually
+//!   changed — with popcount-based transition counting and a lane-aware
+//!   observer; bit-identical [`scan::ShiftStats`] and lane states to the
+//!   scalar replay, its one reference.
 //! * [`fault`] — 64-pattern-per-pass stuck-at fault simulation used by the
 //!   ATPG substitute.
 //! * [`parallel`] — the [`BlockDriver`]: deterministic sharding of
@@ -86,4 +85,4 @@ pub use logic::Logic;
 pub use parallel::{
     BlockDriver, CancelFlag, Canceled, JobContext, JobError, JobFailure, JobPolicy,
 };
-pub use scan_packed::{PackedScanShiftSim, Propagation, ShiftCycle};
+pub use scan_packed::{PackedScanShiftSim, ShiftCycle};

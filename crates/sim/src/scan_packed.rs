@@ -14,9 +14,8 @@
 //! proceeds in lock-step: one topological pass per shift cycle evaluates a
 //! block's worth of circuit states at once.
 //!
-//! [`PackedScanShiftSim::run`] is the one replay entry point: it takes the
-//! [`Propagation`] mode, an optional [`CancelFlag`] and a per-cycle
-//! [`ShiftCycle`] observer.
+//! [`PackedScanShiftSim::run`] is the one replay entry point: it takes an
+//! optional [`CancelFlag`] and a per-cycle [`ShiftCycle`] observer.
 //!
 //! Transition counting reduces to popcounts: two consecutive per-net words are
 //! compared with [`PackedWord::count_differs`] (the lane-parallel `!=`
@@ -26,14 +25,14 @@
 //! resulting [`ShiftStats`] are **bit-identical** to [`ScanShiftSim::run`], and
 //! the agreement is pinned by tests at both the crate and the suite level.
 //!
-//! On top of the lane parallelism the replay is **event-driven by default**
-//! ([`Propagation::EventDriven`]): consecutive shift cycles change only the
-//! rippled chain cells, so instead of a full topological pass the replay
-//! seeds a dirty-gate worklist with the inputs whose packed word actually
-//! moved and lets [`SimKernel::propagate_from`] re-evaluate just their
-//! fanout cones. Because change detection is whole-word, the settled state
-//! is *exactly* the full sweep's state in every lane — the full-sweep mode
-//! stays as the reference the tests compare against, and
+//! On top of the lane parallelism the replay is **event-driven**:
+//! consecutive shift cycles change only the rippled chain cells, so instead
+//! of a full topological pass the replay seeds a dirty-gate worklist with
+//! the inputs whose packed word actually moved and lets
+//! [`SimKernel::propagate_from`] re-evaluate just their fanout cones.
+//! Because change detection is whole-word, the settled state is *exactly*
+//! a full topological pass's state in every lane (the tests compare every
+//! lane of every observed state with the scalar replay), and
 //! [`ShiftCycle::changed`] hands incremental observers the per-cycle delta.
 //!
 //! [`ScanShiftSim::run`]: crate::scan::ScanShiftSim::run
@@ -45,28 +44,6 @@ use crate::kernel::{DirtyWorklist, LogicWord, PackedWord, SimKernel};
 use crate::logic::Logic;
 use crate::parallel::{CancelFlag, Canceled, BLOCK_LANES};
 use crate::scan::{ScanPattern, ShiftConfig, ShiftPhase, ShiftStats};
-
-/// How [`PackedScanShiftSim`] propagates each shift cycle through the
-/// combinational logic. Both modes settle every net to **exactly** the same
-/// packed word, so stats and observed states are bit-identical; the modes
-/// differ only in how much work a low-activity cycle costs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Propagation {
-    /// Event-driven (the default): each cycle seeds a dirty-gate worklist
-    /// with the nets that actually changed — the rippled chain cells, and
-    /// the primary inputs on the first cycle of a block — and re-evaluates
-    /// only the fanout cones of those changes
-    /// ([`SimKernel::propagate_from`]). Cycles whose changes are blocked
-    /// close to the chain (forced pseudo-inputs, PI control values, a chain
-    /// shifting a constant) cost almost nothing.
-    #[default]
-    EventDriven,
-    /// One full topological pass per shift cycle. Kept as the reference
-    /// the replay-identity tests compare the event-driven mode against, and
-    /// as the measuring stick in the `scan_shift` bench's `event_driven`
-    /// group.
-    FullSweep,
-}
 
 /// One observed state of the packed scan replay, as handed to the
 /// [`PackedScanShiftSim::run`] observer.
@@ -87,10 +64,10 @@ pub struct ShiftCycle<'a> {
     pub lanes: usize,
     /// The nets whose packed word differs from the **previous
     /// [`ShiftPhase::Shift`] event** of the same replay, each listed once —
-    /// `None` when that delta is not available (full-sweep propagation,
-    /// every [`ShiftPhase::Capture`] event, and the first shift cycle of
-    /// each block, whose state is rebuilt from the block's capture pass
-    /// rather than rippled from the previous block), in which case
+    /// `None` when that delta is not available (every
+    /// [`ShiftPhase::Capture`] event, and the first shift cycle of each
+    /// block, whose state is rebuilt from the block's capture pass rather
+    /// than rippled from the previous block), in which case
     /// consumers must assume every net changed. Incremental observers (the
     /// static-power delta gather) re-derive their per-gate work from this
     /// list.
@@ -127,15 +104,14 @@ impl PackedScanShiftSim {
     /// [`ShiftCycle`] and polling a cooperative [`CancelFlag`] once per
     /// ≤64-pattern block.
     ///
-    /// Under [`Propagation::EventDriven`] (the default) each shift cycle
-    /// carries the list of nets that changed since the previous shift event
-    /// (see [`ShiftCycle::changed`]), which incremental observers such as
-    /// `scanpower_power::PackedShiftLeakage` use to re-gather only the
-    /// gates whose input state moved. Under [`Propagation::FullSweep`]
-    /// every cycle is a full topological pass and `changed` is always
-    /// `None`. The returned [`ShiftStats`] and every observed state are
-    /// **bit-identical** between the two modes (and to the scalar
-    /// [`ScanShiftSim`](crate::scan::ScanShiftSim)).
+    /// Each shift cycle re-evaluates only the fanout cones of the inputs
+    /// that moved and carries the list of nets that changed since the
+    /// previous shift event (see [`ShiftCycle::changed`]), which
+    /// incremental observers such as `scanpower_power::PackedShiftLeakage`
+    /// use to re-gather only the gates whose input state moved. The
+    /// returned [`ShiftStats`] and every observed lane state are
+    /// **bit-identical** to the scalar
+    /// [`ScanShiftSim`](crate::scan::ScanShiftSim).
     ///
     /// Blocks arrive in pattern order, so an order-sensitive floating-point
     /// observer stays bit-identical to the scalar replay by buffering a
@@ -157,7 +133,7 @@ impl PackedScanShiftSim {
     /// ```
     /// use scanpower_netlist::bench;
     /// use scanpower_sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig};
-    /// use scanpower_sim::{PackedScanShiftSim, Propagation};
+    /// use scanpower_sim::PackedScanShiftSim;
     ///
     /// let circuit = bench::parse(bench::S27_BENCH, "s27")?;
     /// let patterns = vec![
@@ -169,7 +145,6 @@ impl PackedScanShiftSim {
     ///     &circuit,
     ///     &patterns,
     ///     &config,
-    ///     Propagation::default(),
     ///     None,
     ///     |_| {},
     /// )?;
@@ -193,7 +168,6 @@ impl PackedScanShiftSim {
         netlist: &Netlist,
         patterns: &[ScanPattern],
         config: &ShiftConfig,
-        propagation: Propagation,
         cancel: Option<&CancelFlag>,
         mut observer: F,
     ) -> Result<ShiftStats, Canceled>
@@ -252,7 +226,7 @@ impl PackedScanShiftSim {
 
         // Per-block scratch, reused across blocks.
         let mut prev = vec![PackedWord::splat(Logic::X); net_count];
-        let mut inputs = vec![PackedWord::splat(Logic::X); width];
+        let mut shift_pi = vec![PackedWord::splat(Logic::X); pi_count];
         let forced: Vec<Option<PackedWord>> = config
             .forced_pseudo
             .iter()
@@ -311,17 +285,17 @@ impl PackedScanShiftSim {
             // every lane) or each lane's own pattern PI part.
             match &config.shift_pi_values {
                 Some(values) => {
-                    for (slot, &value) in inputs[..pi_count].iter_mut().zip(values) {
+                    for (slot, &value) in shift_pi.iter_mut().zip(values) {
                         *slot = PackedWord::splat(value);
                     }
                 }
                 None => {
-                    for slot in inputs[..pi_count].iter_mut() {
+                    for slot in shift_pi.iter_mut() {
                         *slot = PackedWord::splat(Logic::X);
                     }
                     for (lane, pattern) in chunk.iter().enumerate() {
                         for (i, &value) in pattern.pi.iter().enumerate() {
-                            inputs[i].set_lane(lane, value);
+                            shift_pi[i].set_lane(lane, value);
                         }
                     }
                 }
@@ -342,95 +316,59 @@ impl PackedScanShiftSim {
                 }
                 chain[0] = incoming;
 
-                match propagation {
-                    Propagation::FullSweep => {
-                        for ((slot, &cell), forced) in
-                            inputs[pi_count..].iter_mut().zip(&chain).zip(&forced)
-                        {
-                            *slot = forced.unwrap_or(cell);
-                        }
-                        let values = kernel.evaluate(netlist, &inputs);
-                        for ((toggle, &now), then) in
-                            toggles.iter_mut().zip(values).zip(prev.iter_mut())
-                        {
-                            let count = u64::from(now.count_differs(*then, lanes));
-                            if count != 0 {
-                                *toggle += count;
-                                total += count;
-                            }
-                            *then = now;
-                        }
-                        observer(&ShiftCycle {
-                            phase: ShiftPhase::Shift,
-                            values,
+                // `prev` is the settled previous state: seed only the inputs
+                // whose word actually moved — the rippled (unforced) chain
+                // cells, plus the primary inputs on the block's first cycle
+                // (their words are per-block constants, so later cycles
+                // cannot move them) — then let the kernel re-evaluate their
+                // fanout cones.
+                changed.clear();
+                if cycle == 0 {
+                    for (&net, &word) in self.pi_nets.iter().zip(&shift_pi) {
+                        seed_changed_input(
+                            &kernel,
+                            net,
+                            word,
                             lanes,
-                            changed: None,
-                        });
-                    }
-                    Propagation::EventDriven => {
-                        // `prev` is the settled previous state: seed only
-                        // the inputs whose word actually moved — the
-                        // rippled (unforced) chain cells, plus the primary
-                        // inputs on the block's first cycle (their words
-                        // are per-block constants, so later cycles cannot
-                        // move them) — then let the kernel re-evaluate
-                        // their fanout cones.
-                        changed.clear();
-                        if cycle == 0 {
-                            for (&net, &word) in self.pi_nets.iter().zip(&inputs[..pi_count]) {
-                                seed_changed_input(
-                                    &kernel,
-                                    net,
-                                    word,
-                                    lanes,
-                                    &mut prev,
-                                    &mut worklist,
-                                    &mut changed,
-                                    &mut toggles,
-                                    &mut total,
-                                );
-                            }
-                        }
-                        for ((&net, &cell), forced) in
-                            self.pseudo_nets.iter().zip(&chain).zip(&forced)
-                        {
-                            let word = forced.unwrap_or(cell);
-                            seed_changed_input(
-                                &kernel,
-                                net,
-                                word,
-                                lanes,
-                                &mut prev,
-                                &mut worklist,
-                                &mut changed,
-                                &mut toggles,
-                                &mut total,
-                            );
-                        }
-                        kernel.propagate_from(
-                            netlist,
                             &mut prev,
                             &mut worklist,
-                            |net, old, new| {
-                                let count = u64::from(new.count_differs(old, lanes));
-                                if count != 0 {
-                                    toggles[net.index()] += count;
-                                    total += count;
-                                }
-                                changed.push(net);
-                            },
+                            &mut changed,
+                            &mut toggles,
+                            &mut total,
                         );
-                        observer(&ShiftCycle {
-                            phase: ShiftPhase::Shift,
-                            values: &prev,
-                            lanes,
-                            // The first cycle's delta is relative to the
-                            // block's rebuilt base state, not the previous
-                            // shift event — observers must not trust it.
-                            changed: if cycle == 0 { None } else { Some(&changed) },
-                        });
                     }
                 }
+                for ((&net, &cell), forced) in self.pseudo_nets.iter().zip(&chain).zip(&forced) {
+                    let word = forced.unwrap_or(cell);
+                    seed_changed_input(
+                        &kernel,
+                        net,
+                        word,
+                        lanes,
+                        &mut prev,
+                        &mut worklist,
+                        &mut changed,
+                        &mut toggles,
+                        &mut total,
+                    );
+                }
+                kernel.propagate_from(netlist, &mut prev, &mut worklist, |net, old, new| {
+                    let count = u64::from(new.count_differs(old, lanes));
+                    if count != 0 {
+                        toggles[net.index()] += count;
+                        total += count;
+                    }
+                    changed.push(net);
+                });
+                observer(&ShiftCycle {
+                    phase: ShiftPhase::Shift,
+                    values: &prev,
+                    lanes,
+                    // The first cycle's delta is relative to the block's
+                    // rebuilt base state, not the previous shift event —
+                    // observers must not trust it.
+                    changed: if cycle == 0 { None } else { Some(&changed) },
+                });
             }
             shift_cycles += lanes * chain_len;
 
@@ -478,7 +416,7 @@ impl PackedScanShiftSim {
 /// net's readers dirty and records the net in the cycle's changed list —
 /// but only when the word actually differs (whole-word comparison, matching
 /// the change detection of [`SimKernel::propagate_from`], so the state
-/// buffer stays exactly equal to a full sweep in every lane).
+/// buffer stays exactly equal to a full topological pass in every lane).
 // Called per input per shift cycle from `run`, which is instantiated in the
 // caller's crate; `#[inline]` keeps it inlinable there.
 #[inline]
@@ -555,31 +493,21 @@ mod tests {
             .collect()
     }
 
-    /// The bare replay: default propagation, no cancel flag, no observer.
-    fn packed_stats(
-        netlist: &Netlist,
-        patterns: &[ScanPattern],
-        config: &ShiftConfig,
-    ) -> ShiftStats {
-        replay(netlist, patterns, config, Propagation::default(), |_| {})
-    }
-
     /// The replay without a cancel flag, which never fails.
     fn replay(
         netlist: &Netlist,
         patterns: &[ScanPattern],
         config: &ShiftConfig,
-        propagation: Propagation,
         observer: impl FnMut(&ShiftCycle<'_>),
     ) -> ShiftStats {
         PackedScanShiftSim::new(netlist)
-            .run(netlist, patterns, config, propagation, None, observer)
+            .run(netlist, patterns, config, None, observer)
             .expect("a replay without a cancel flag never fails")
     }
 
     fn assert_agreement(netlist: &Netlist, patterns: &[ScanPattern], config: &ShiftConfig) {
         let scalar = ScanShiftSim::new(netlist).run(netlist, patterns, config);
-        assert_eq!(packed_stats(netlist, patterns, config), scalar);
+        assert_eq!(replay(netlist, patterns, config, |_| {}), scalar);
     }
 
     /// Cooperative cancellation is block-granular and deterministic: a
@@ -594,14 +522,7 @@ mod tests {
         let config = ShiftConfig::traditional(n.dff_count());
         let sim = PackedScanShiftSim::new(&n);
         let run = |cancel: &CancelFlag, observer: &mut dyn FnMut(&ShiftCycle<'_>)| {
-            sim.run(
-                &n,
-                &patterns,
-                &config,
-                Propagation::default(),
-                Some(cancel),
-                observer,
-            )
+            sim.run(&n, &patterns, &config, Some(cancel), observer)
         };
 
         let tripped = CancelFlag::new();
@@ -614,7 +535,7 @@ mod tests {
         assert_eq!(run(&expired, &mut |_| {}), Err(Canceled));
 
         let stats = run(&CancelFlag::new(), &mut |_| {}).expect("untripped flag never cancels");
-        assert_eq!(stats, packed_stats(&n, &patterns, &config));
+        assert_eq!(stats, replay(&n, &patterns, &config, |_| {}));
     }
 
     #[test]
@@ -672,7 +593,7 @@ mod tests {
     fn packed_handles_empty_pattern_set() {
         let n = s27();
         let config = ShiftConfig::traditional(n.dff_count());
-        let stats = packed_stats(&n, &[], &config);
+        let stats = replay(&n, &[], &config, |_| {});
         assert_eq!(stats, ScanShiftSim::new(&n).run(&n, &[], &config));
         assert_eq!(stats.patterns, 0);
         assert_eq!(stats.shift_cycles, 0);
@@ -680,120 +601,93 @@ mod tests {
         assert_eq!(stats.average_toggles_per_cycle(), 0.0);
     }
 
-    #[test]
-    fn observer_lane_states_match_scalar_states() {
-        // Lane k of every packed event must be the scalar observer's state
-        // for pattern k at the same cycle, and the packed event stream must
-        // be chain_len shifts + one capture per block.
-        let n = s27();
-        let patterns = bool_patterns_for(&n, 70, 9);
-        let config = ShiftConfig::traditional(n.dff_count());
-        let chain_len = n.dff_count();
-
-        let mut scalar_states: Vec<(ShiftPhase, Vec<Logic>)> = Vec::new();
-        ScanShiftSim::new(&n).run_with_observer(&n, &patterns, &config, |phase, values| {
-            scalar_states.push((phase, values.to_vec()));
-        });
-
-        // Scalar order: per pattern, chain_len shifts then a capture.
-        let per_pattern = chain_len + 1;
-        let mut block_start_pattern = 0usize;
-        let mut cycle_in_block = 0usize;
-        let mut captures = 0usize;
-        let netlist = &n;
-        replay(
-            netlist,
-            &patterns,
-            &config,
-            Propagation::default(),
-            |cycle| {
-                for lane in 0..cycle.lanes {
-                    let pattern = block_start_pattern + lane;
-                    let index = pattern * per_pattern
-                        + match cycle.phase {
-                            ShiftPhase::Shift => cycle_in_block,
-                            ShiftPhase::Capture => chain_len,
-                        };
-                    let (scalar_phase, scalar_values) = &scalar_states[index];
-                    assert_eq!(cycle.phase, *scalar_phase);
-                    for net in netlist.net_ids() {
-                        assert_eq!(
-                            cycle.values[net.index()].lane(lane),
-                            scalar_values[net.index()],
-                            "pattern {pattern} net {}",
-                            netlist.net(net).name
-                        );
-                    }
-                }
-                match cycle.phase {
-                    ShiftPhase::Shift => cycle_in_block += 1,
-                    ShiftPhase::Capture => {
-                        captures += 1;
-                        block_start_pattern += cycle.lanes;
-                        cycle_in_block = 0;
-                    }
-                }
-            },
-        );
-        assert_eq!(
-            captures,
-            patterns.len().div_ceil(64),
-            "one capture per block"
-        );
-    }
-
-    /// Both propagation modes against the scalar replay AND each other:
-    /// identical `ShiftStats`, and every observed state identical word for
-    /// word, with a `changed` list that is trustworthy when present.
-    fn assert_propagation_agreement(
+    /// The event-driven replay against the scalar replay: identical
+    /// `ShiftStats`; `chain_len` shift events and one capture event per
+    /// block; lane `k` of every observed state equal, net by net, to the
+    /// scalar observer's state for the block's pattern `k` at the same
+    /// cycle; and a `changed` list, when present, naming exactly the nets
+    /// whose word moved since the previous shift event.
+    fn assert_event_driven_agreement(
         netlist: &Netlist,
         patterns: &[ScanPattern],
         config: &ShiftConfig,
     ) {
-        let mut sweep_states: Vec<(ShiftPhase, Vec<PackedWord>, usize)> = Vec::new();
-        let sweep_stats = replay(netlist, patterns, config, Propagation::FullSweep, |cycle| {
-            assert!(cycle.changed.is_none(), "full sweep never claims a delta");
-            sweep_states.push((cycle.phase, cycle.values.to_vec(), cycle.lanes));
-        });
-
-        let mut index = 0usize;
-        let mut last_shift: Option<Vec<PackedWord>> = None;
-        let event_stats = replay(
+        let mut scalar_states: Vec<(ShiftPhase, Vec<Logic>)> = Vec::new();
+        let scalar_stats = ScanShiftSim::new(netlist).run_with_observer(
             netlist,
             patterns,
             config,
-            Propagation::EventDriven,
-            |cycle| {
-                let (phase, values, lanes) = &sweep_states[index];
+            |phase, values| scalar_states.push((phase, values.to_vec())),
+        );
+
+        // Scalar order: per pattern, chain_len shifts then a capture.
+        let chain_len = netlist.dff_count();
+        let per_pattern = chain_len + 1;
+        let mut block_start = 0usize;
+        let mut cycle_in_block = 0usize;
+        let mut index = 0usize;
+        let mut last_shift: Option<Vec<PackedWord>> = None;
+        let stats = replay(netlist, patterns, config, |cycle| {
+            let expected_lanes = (patterns.len() - block_start).min(BLOCK_LANES);
+            assert_eq!(cycle.lanes, expected_lanes, "event {index}: lanes");
+            let step = match cycle.phase {
+                ShiftPhase::Shift => cycle_in_block,
+                ShiftPhase::Capture => chain_len,
+            };
+            for lane in 0..cycle.lanes {
+                let pattern = block_start + lane;
+                let (phase, values) = &scalar_states[pattern * per_pattern + step];
                 assert_eq!(cycle.phase, *phase, "event {index}: phase");
-                assert_eq!(cycle.lanes, *lanes, "event {index}: lanes");
-                assert_eq!(cycle.values, values.as_slice(), "event {index}: values");
-                if let Some(changed) = cycle.changed {
-                    // The delta, when claimed, must cover exactly the nets
-                    // whose word moved since the previous shift event.
-                    let previous = last_shift.as_ref().expect("delta implies a prior shift");
-                    for net in netlist.net_ids() {
-                        let moved = cycle.values[net.index()] != previous[net.index()];
-                        assert_eq!(
-                            changed.contains(&net),
-                            moved,
-                            "event {index}: net {} delta",
-                            netlist.net(net).name
-                        );
-                    }
+                for net in netlist.net_ids() {
+                    assert_eq!(
+                        cycle.values[net.index()].lane(lane),
+                        values[net.index()],
+                        "event {index}: pattern {pattern} net {}",
+                        netlist.net(net).name
+                    );
                 }
-                if cycle.phase == ShiftPhase::Shift {
+            }
+            if let Some(changed) = cycle.changed {
+                // The delta, when claimed, must cover exactly the nets
+                // whose word moved since the previous shift event.
+                let previous = last_shift.as_ref().expect("delta implies a prior shift");
+                for net in netlist.net_ids() {
+                    let moved = cycle.values[net.index()] != previous[net.index()];
+                    assert_eq!(
+                        changed.contains(&net),
+                        moved,
+                        "event {index}: net {} delta",
+                        netlist.net(net).name
+                    );
+                }
+            }
+            match cycle.phase {
+                ShiftPhase::Shift => {
                     last_shift = Some(cycle.values.to_vec());
+                    cycle_in_block += 1;
                 }
-                index += 1;
-            },
-        );
-        assert_eq!(index, sweep_states.len(), "event count");
-        assert_eq!(event_stats, sweep_stats);
+                ShiftPhase::Capture => {
+                    assert_eq!(cycle_in_block, chain_len, "event {index}: shifts per block");
+                    block_start += cycle.lanes;
+                    cycle_in_block = 0;
+                }
+            }
+            index += 1;
+        });
+        assert_eq!(block_start, patterns.len(), "every pattern observed");
         assert_eq!(
-            event_stats,
-            ScanShiftSim::new(netlist).run(netlist, patterns, config)
+            index,
+            patterns.len().div_ceil(BLOCK_LANES) * per_pattern,
+            "chain_len shifts and one capture per block"
         );
+        assert_eq!(stats, scalar_stats);
+    }
+
+    #[test]
+    fn observer_lane_states_match_scalar_states() {
+        let n = s27();
+        let patterns = bool_patterns_for(&n, 70, 9);
+        assert_event_driven_agreement(&n, &patterns, &ShiftConfig::traditional(n.dff_count()));
     }
 
     /// Zero-activity cycles: every pattern shifts the same constant through
@@ -812,19 +706,20 @@ mod tests {
             n.dff_count(),
             vec![Logic::Zero; n.primary_inputs().len()],
         );
-        assert_propagation_agreement(&n, &patterns, &config);
+        assert_event_driven_agreement(&n, &patterns, &config);
 
         // Fully forced chain: the combinational part sees no shift activity
         // at all; only the rippling pseudo-inputs themselves would toggle,
         // and even those are forced here.
         let mut frozen = config;
         frozen.forced_pseudo = vec![Some(Logic::Zero); n.dff_count()];
-        assert_propagation_agreement(&n, &patterns, &frozen);
+        assert_event_driven_agreement(&n, &patterns, &frozen);
     }
 
     /// All-lanes-change cycles: alternating all-zero / all-one scan parts
     /// flip every chain cell in every lane every cycle — the event-driven
-    /// worklist degenerates to the full sweep and must still agree.
+    /// worklist degenerates to a full topological pass and must still
+    /// agree.
     #[test]
     fn event_driven_handles_all_lanes_change_cycles() {
         let n = s27();
@@ -837,7 +732,7 @@ mod tests {
                 }
             })
             .collect();
-        assert_propagation_agreement(&n, &patterns, &ShiftConfig::traditional(n.dff_count()));
+        assert_event_driven_agreement(&n, &patterns, &ShiftConfig::traditional(n.dff_count()));
     }
 
     /// X-churn: scan parts cycling 0 → X → 0 ripple X in and out of the
@@ -864,7 +759,7 @@ mod tests {
             n.dff_count(),
             vec![Logic::Zero; n.primary_inputs().len()],
         );
-        assert_propagation_agreement(&n, &patterns, &config);
+        assert_event_driven_agreement(&n, &patterns, &config);
     }
 
     /// Partial final blocks: pattern counts straddling the 64-lane block
@@ -879,25 +774,12 @@ mod tests {
             let mut config = ShiftConfig::traditional(n.dff_count());
             config.forced_pseudo[1] = Some(Logic::One);
             config.count_capture = true;
-            assert_propagation_agreement(&n, &patterns, &config);
+            assert_event_driven_agreement(&n, &patterns, &config);
         }
     }
 
-    /// The generated-circuit sweep, under both propagation modes.
-    #[test]
-    fn event_driven_matches_full_sweep_on_a_generated_circuit() {
-        use scanpower_netlist::generator::CircuitFamily;
-        let circuit = CircuitFamily::iscas89_like("s344")
-            .unwrap()
-            .scaled(0.4)
-            .generate(2);
-        let patterns = ternary_patterns_for(&circuit, 80, 31);
-        let mut config = ShiftConfig::traditional(circuit.dff_count());
-        config.forced_pseudo[1] = Some(Logic::Zero);
-        config.count_capture = true;
-        assert_propagation_agreement(&circuit, &patterns, &config);
-    }
-
+    /// The generated-circuit sweep: ternary patterns with a partial final
+    /// block, a forced cell and capture counting.
     #[test]
     fn packed_matches_scalar_on_a_generated_circuit() {
         use scanpower_netlist::generator::CircuitFamily;
@@ -909,6 +791,6 @@ mod tests {
         let mut config = ShiftConfig::traditional(circuit.dff_count());
         config.forced_pseudo[1] = Some(Logic::Zero);
         config.count_capture = true;
-        assert_agreement(&circuit, &patterns, &config);
+        assert_event_driven_agreement(&circuit, &patterns, &config);
     }
 }

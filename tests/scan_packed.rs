@@ -1,13 +1,13 @@
-//! Suite-level agreement of the production scan-shift replay with every
-//! reference path, and of the multi-circuit Table I sharding across thread
+//! Suite-level agreement of the production scan-shift replay with its
+//! reference, and of the multi-circuit Table I sharding across thread
 //! counts.
 //!
 //! The production replay is one engine: the packed 64-pattern kernel,
 //! event-driven propagation, the lane-parallel leakage lookup and the
-//! `LintFacts` static-gate skip. The references — the scalar
-//! pattern-at-a-time replay, full-sweep propagation, the scalar leakage
-//! lookup and the unskipped observer — live in the sim and power crates
-//! and are composed here directly. The acceptance bar is **bit-identity**:
+//! `LintFacts` static-gate skip. Its reference is the scalar
+//! pattern-at-a-time replay with the scalar leakage observer; the packed
+//! replay with and without the facts skip is composed here directly from
+//! the sim and power crates. The acceptance bar is **bit-identity**:
 //! every `ShiftStats` counter is an integer and the static-power average is
 //! accumulated in the exact scalar order, so the tests assert plain
 //! equality (and `f64::to_bits` equality of the power numbers) — on real
@@ -29,11 +29,10 @@ use scanpower_suite::lint::LintFacts;
 use scanpower_suite::netlist::generator::CircuitFamily;
 use scanpower_suite::netlist::Netlist;
 use scanpower_suite::power::{
-    DynamicPower, LeakageAverage, LeakageEstimator, LeakageLibrary, LeakageLookup,
-    PackedShiftLeakage,
+    DynamicPower, LeakageAverage, LeakageEstimator, LeakageLibrary, PackedShiftLeakage,
 };
 use scanpower_suite::sim::scan::{ScanPattern, ScanShiftSim, ShiftConfig, ShiftPhase, ShiftStats};
-use scanpower_suite::sim::{Logic, PackedScanShiftSim, Propagation};
+use scanpower_suite::sim::{Logic, PackedScanShiftSim};
 
 fn generated_circuit() -> Netlist {
     CircuitFamily::iscas89_like("s344")
@@ -70,14 +69,7 @@ fn ternary_patterns(netlist: &Netlist, count: usize, seed: u64) -> Vec<ScanPatte
 fn assert_replay_agreement(netlist: &Netlist, patterns: &[ScanPattern], config: &ShiftConfig) {
     let scalar = ScanShiftSim::new(netlist).run(netlist, patterns, config);
     let packed = PackedScanShiftSim::new(netlist)
-        .run(
-            netlist,
-            patterns,
-            config,
-            Propagation::default(),
-            None,
-            |_| {},
-        )
+        .run(netlist, patterns, config, None, |_| {})
         .expect("no cancel flag");
     assert_eq!(packed, scalar);
 }
@@ -174,7 +166,7 @@ fn replayed(
 /// scalar leakage observer.
 fn scalar_replay(netlist: &Netlist, patterns: &[ScanPattern], config: &ShiftConfig) -> Replayed {
     let library = LeakageLibrary::cmos45();
-    let estimator = LeakageEstimator::with_lookup(netlist, &library, LeakageLookup::Scalar);
+    let estimator = LeakageEstimator::new(netlist, &library);
     let mut leakage = LeakageAverage::new();
     let stats =
         ScanShiftSim::new(netlist).run_with_observer(netlist, patterns, config, |phase, values| {
@@ -185,43 +177,38 @@ fn scalar_replay(netlist: &Netlist, patterns: &[ScanPattern], config: &ShiftConf
     replayed("scalar replay".into(), netlist, &library, stats, &leakage)
 }
 
-/// Every reference path, composed directly from the sim and power layers:
-/// the scalar replay, and the packed replay under every combination of
-/// {event-driven, full sweep} × {lane-parallel, scalar lookup} ×
-/// {facts skip, no skip}.
+/// The reference replays, composed directly from the sim and power layers:
+/// the scalar replay, then the packed replay with and without the facts
+/// skip.
 fn reference_replays(
     netlist: &Netlist,
     patterns: &[ScanPattern],
     config: &ShiftConfig,
 ) -> Vec<Replayed> {
     let library = LeakageLibrary::cmos45();
+    let estimator = LeakageEstimator::new(netlist, &library);
     let facts = LintFacts::analyze_shift(netlist, config);
     let mut references = vec![scalar_replay(netlist, patterns, config)];
 
     let sim = PackedScanShiftSim::new(netlist);
-    for lookup in [LeakageLookup::LaneParallel, LeakageLookup::Scalar] {
-        let estimator = LeakageEstimator::with_lookup(netlist, &library, lookup);
-        for propagation in [Propagation::EventDriven, Propagation::FullSweep] {
-            for skip in [true, false] {
-                let mut observer = if skip {
-                    PackedShiftLeakage::with_facts(netlist, &estimator, &facts)
-                } else {
-                    PackedShiftLeakage::new(netlist, &estimator)
-                };
-                let stats = sim
-                    .run(netlist, patterns, config, propagation, None, |cycle| {
-                        observer.observe_cycle(cycle);
-                    })
-                    .expect("no cancel flag");
-                references.push(replayed(
-                    format!("packed {propagation:?} / {lookup:?} / facts skip {skip}"),
-                    netlist,
-                    &library,
-                    stats,
-                    &observer.into_average(),
-                ));
-            }
-        }
+    for skip in [true, false] {
+        let mut observer = if skip {
+            PackedShiftLeakage::with_facts(netlist, &estimator, &facts)
+        } else {
+            PackedShiftLeakage::new(netlist, &estimator)
+        };
+        let stats = sim
+            .run(netlist, patterns, config, None, |cycle| {
+                observer.observe_cycle(cycle);
+            })
+            .expect("no cancel flag");
+        references.push(replayed(
+            format!("packed / facts skip {skip}"),
+            netlist,
+            &library,
+            stats,
+            &observer.into_average(),
+        ));
     }
     references
 }
@@ -231,7 +218,7 @@ fn reference_replays(
 /// a ternary (X-carrying) set and a set ending in a partial final block,
 /// the production replay (`try_evaluate_scheme_stats`) is bit-identical —
 /// `ShiftStats` and `f64::to_bits` of both power numbers — to every
-/// reference path in `reference_replays`. The `replay_identity` CI step
+/// replay in `reference_replays`. The `replay_identity` CI step
 /// runs this file.
 #[test]
 fn experiment_scheme_evaluation_is_bit_identical_between_replays() {

@@ -93,26 +93,31 @@ impl AtpgConfig {
 }
 
 /// A generated scan test set.
+///
+/// Coverage and counters describe the patterns the flow kept and the work
+/// it did to keep them: under a pattern budget
+/// ([`AtpgFlow::run_with_budget`]) that is the budgeted set, never the
+/// longer set an unbudgeted run would have produced.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TestSet {
     /// Fully-specified patterns over the combinational inputs (primary
     /// inputs followed by scan cells, the order of
     /// [`Netlist::combinational_inputs`]).
     pub patterns: Vec<Vec<bool>>,
-    /// Achieved single stuck-at fault coverage over the collapsed net fault
-    /// list.
+    /// Single stuck-at fault coverage of `patterns` over the collapsed net
+    /// fault list.
     pub fault_coverage: f64,
     /// Number of faults in the fault list.
     pub total_faults: usize,
-    /// Number of detected faults.
+    /// Number of faults `patterns` detect.
     pub detected_faults: usize,
     /// Patterns contributed by the random phase.
     pub random_patterns: usize,
     /// Patterns contributed by the deterministic (PODEM) phase.
     pub deterministic_patterns: usize,
-    /// Faults proved untestable by PODEM.
+    /// Faults proved untestable by PODEM before the flow stopped.
     pub untestable_faults: usize,
-    /// Faults aborted (backtrack limit hit).
+    /// Faults aborted (backtrack limit hit) before the flow stopped.
     pub aborted_faults: usize,
     /// Number of candidate patterns fault-simulated by the random phase.
     pub random_patterns_simulated: usize,
@@ -160,26 +165,49 @@ impl AtpgFlow {
     }
 
     /// Generates a compact test set for all single stuck-at net faults of
-    /// `netlist`.
+    /// `netlist`: [`AtpgFlow::run_with_budget`] without a budget.
     #[must_use]
     pub fn run(&self, netlist: &Netlist) -> TestSet {
+        self.run_with_budget(netlist, None)
+    }
+
+    /// Generates a test set for all single stuck-at net faults of
+    /// `netlist`, stopping once `budget` patterns have been kept (`None`:
+    /// no budget, exactly [`AtpgFlow::run`]).
+    ///
+    /// The flow only ever appends patterns, and a kept pattern never
+    /// depends on a later one, so the budgeted patterns are exactly the
+    /// first `budget` patterns of the unbudgeted set. The budget is checked
+    /// right after each kept random-phase pattern, before the next lane is
+    /// credited, and before each PODEM target; the work past the stop is
+    /// never done. Coverage and every [`TestSet`] counter describe the
+    /// budgeted set and the work spent on it.
+    #[must_use]
+    pub fn run_with_budget(&self, netlist: &Netlist, budget: Option<usize>) -> TestSet {
         let faults = all_net_faults(netlist);
-        self.run_for_faults(netlist, &faults)
+        let mut podem = Podem::new(netlist, self.config.backtrack_limit);
+        self.run_with(netlist, &faults, budget, |fault| {
+            podem.generate(netlist, fault)
+        })
     }
 
     /// Generates a test set targeting an explicit fault list.
     #[must_use]
     pub fn run_for_faults(&self, netlist: &Netlist, faults: &[Fault]) -> TestSet {
         let mut podem = Podem::new(netlist, self.config.backtrack_limit);
-        self.run_with(netlist, faults, |fault| podem.generate(netlist, fault))
+        self.run_with(netlist, faults, None, |fault| {
+            podem.generate(netlist, fault)
+        })
     }
 
-    /// The flow over any deterministic-phase generator: production passes
-    /// [`Podem::generate`], the identity tests the full-sweep oracle.
+    /// The flow over any deterministic-phase generator, stopping once
+    /// `budget` patterns are kept: production passes [`Podem::generate`],
+    /// the identity tests the full-sweep oracle.
     fn run_with(
         &self,
         netlist: &Netlist,
         faults: &[Fault],
+        budget: Option<usize>,
         mut generate: impl FnMut(Fault) -> PodemOutcome,
     ) -> TestSet {
         let sim = FaultSim::new(netlist);
@@ -207,6 +235,7 @@ impl AtpgFlow {
             total_faults == 0
                 || detected_count as f64 / total_faults as f64 >= self.config.target_coverage
         };
+        let budget_full = |kept: usize| budget.is_some_and(|limit| kept >= limit);
         let mut detected_count = 0usize;
         let mut stale = 0usize;
         let mut random_patterns = 0usize;
@@ -222,7 +251,7 @@ impl AtpgFlow {
         // not depend on it.
         let mut group_ramp = 1usize;
         'random: while next_block < self.config.random_max_blocks {
-            if target_met(detected_count) {
+            if target_met(detected_count) || budget_full(patterns.len()) {
                 break;
             }
             let group_len = group_ramp
@@ -282,6 +311,12 @@ impl AtpgFlow {
                             patterns.push(chunk[lane].clone());
                             random_patterns += 1;
                             kept_any = true;
+                            if budget_full(patterns.len()) {
+                                // Budget stop: later lanes are neither
+                                // credited nor kept, like the target
+                                // cutoff above.
+                                break 'random;
+                            }
                         }
                     }
                 }
@@ -299,11 +334,15 @@ impl AtpgFlow {
 
         // Phase 2: PODEM on the remaining faults. `detected_count` stays the
         // running number of set flags, so the cutoff is the random phase's
-        // `target_met` expression without a recount per target.
+        // `target_met` expression without a recount per target. A full
+        // budget ends the phase before the next target.
         let mut deterministic_patterns = 0usize;
         let mut untestable = 0usize;
         let mut aborted = 0usize;
         for (index, &fault) in faults.iter().enumerate() {
+            if budget_full(patterns.len()) {
+                break;
+            }
             if detected[index] || target_met(detected_count) {
                 continue;
             }
@@ -593,7 +632,7 @@ mod tests {
                     threads: 1,
                     ..base.clone()
                 })
-                .run_with(&circuit, &faults, |fault| {
+                .run_with(&circuit, &faults, None, |fault| {
                     oracle_podem.generate(&circuit, fault)
                 });
                 for (total, count) in podem_tally.iter_mut().zip([
@@ -623,6 +662,76 @@ mod tests {
             podem_tally.iter().all(|&count| count > 0),
             "PODEM {podem_tally:?}"
         );
+    }
+
+    /// A pattern budget keeps exactly a prefix of the unbudgeted test set,
+    /// and its coverage is what fault simulation of that prefix finds, on
+    /// every Table I family (scaled to about a hundred gates), for both
+    /// profiles and any thread count. A zero budget does no work; a budget
+    /// the flow never reaches, and no budget at all, change nothing.
+    #[test]
+    fn budgeted_test_sets_are_prefixes_on_every_table1_family() {
+        let mut stopped_in = [0usize; 2];
+        for family in CircuitFamily::table1() {
+            let circuit = family.scaled(100.0 / family.gates() as f64).generate(1);
+            let faults = all_net_faults(&circuit);
+            let sim = FaultSim::new(&circuit);
+            for base in [AtpgConfig::fast(), AtpgConfig::default()] {
+                let config = |threads| AtpgConfig {
+                    threads,
+                    ..base.clone()
+                };
+                let full = AtpgFlow::new(config(1)).run(&circuit);
+                let generated = full.patterns.len();
+                for threads in [1, 3, 0] {
+                    let flow = AtpgFlow::new(config(threads));
+                    assert_eq!(flow.run_with_budget(&circuit, None), full);
+                    for budget in [0, 1, 16, 32, generated + 1] {
+                        let label = format!(
+                            "{} (backtrack limit {}), budget {budget}, threads {threads}",
+                            family.name(),
+                            base.backtrack_limit
+                        );
+                        let budgeted = flow.run_with_budget(&circuit, Some(budget));
+                        let kept = budget.min(generated);
+                        assert_eq!(budgeted.patterns, full.patterns[..kept], "{label}");
+                        assert_eq!(
+                            budgeted.random_patterns + budgeted.deterministic_patterns,
+                            kept,
+                            "{label}"
+                        );
+                        let detected = sim
+                            .detect(&circuit, &faults, &budgeted.patterns)
+                            .iter()
+                            .filter(|&&d| d)
+                            .count();
+                        assert_eq!(budgeted.detected_faults, detected, "{label}");
+                        assert_eq!(
+                            budgeted.fault_coverage,
+                            detected as f64 / faults.len() as f64,
+                            "{label}"
+                        );
+                        if budget == 0 {
+                            // Nothing kept, and no work done to keep it.
+                            assert_eq!(
+                                budgeted.random_sim_passes
+                                    + budgeted.untestable_faults
+                                    + budgeted.aborted_faults,
+                                0,
+                                "{label}"
+                            );
+                        } else if budget > generated {
+                            assert_eq!(budgeted, full, "{label}");
+                        } else if budget < generated {
+                            stopped_in[usize::from(budget > full.random_patterns)] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // The sweep stops both phases: inside the random phase and inside
+        // PODEM.
+        assert!(stopped_in.iter().all(|&n| n > 0), "{stopped_in:?}");
     }
 
     #[test]

@@ -121,8 +121,8 @@ pub struct ResourceLimits {
     #[serde(default)]
     pub max_gates: Option<usize>,
     /// Refuse experiments whose replayed pattern count exceeds this
-    /// ceiling (checked after ATPG and the
-    /// [`ExperimentOptions::max_patterns`] truncation, before any replay).
+    /// ceiling (checked after ATPG has run to the
+    /// [`ExperimentOptions::max_patterns`] budget, before any replay).
     /// Unlike `max_patterns` — which silently *caps* the workload — this is
     /// a hard refusal.
     #[serde(default)]
@@ -218,7 +218,11 @@ impl fmt::Debug for ResultCacheHandle {
 pub struct ExperimentOptions {
     /// ATPG configuration used to generate the test set.
     pub atpg: AtpgConfig,
-    /// Cap on the number of test patterns replayed (None = all).
+    /// Pattern budget of the test set (None = all ATPG generates). ATPG
+    /// stops once this many patterns are kept
+    /// ([`AtpgFlow::run_with_budget`]), so the replayed patterns are the
+    /// first `max_patterns` of the unbudgeted set, and the row's
+    /// `fault_coverage` is the coverage of exactly the replayed patterns.
     pub max_patterns: Option<usize>,
     /// Options of the proposed flow.
     pub proposed: ProposedOptions,
@@ -283,8 +287,8 @@ impl Default for ExperimentOptions {
 /// Included: the ATPG configuration and the proposed-flow options (each
 /// with its `threads` knob zeroed — both flows are bit-identical for any
 /// thread count, and [`run_table1_partial`] rewrites those knobs for inner
-/// thread budgeting), and `max_patterns` (it truncates the replayed
-/// workload).
+/// thread budgeting), and `max_patterns` (the ATPG pattern budget: it
+/// decides the replayed patterns and the reported coverage).
 ///
 /// Excluded, with the invariant that justifies each exclusion:
 ///
@@ -295,7 +299,7 @@ impl Default for ExperimentOptions {
 ///   reaches the cache.
 /// * `limits.max_replayed_patterns` — enforced *on* cache hits against the
 ///   stored row's pattern count, exactly like a fresh run enforces it
-///   against the truncated test set.
+///   against the budgeted test set.
 /// * `retries` and `job_deadline_ms` — supervision policy; a surviving
 ///   row is bit-identical whatever policy produced it.
 /// * `result_cache` itself — runtime state.
@@ -310,7 +314,7 @@ pub fn semantic_options_bytes(options: &ExperimentOptions) -> Vec<u8> {
 
 /// The result-cache key of one circuit's finished [`CircuitRow`].
 fn row_cache_key(netlist_bytes: &[u8], options: &ExperimentOptions) -> CacheKey {
-    KeyBuilder::new("scanpower/table1-row/v1")
+    KeyBuilder::new("scanpower/table1-row/v2")
         .part(env!("CARGO_PKG_VERSION").as_bytes())
         .part(netlist_bytes)
         .part(&semantic_options_bytes(options))
@@ -543,13 +547,14 @@ impl CircuitExperiment {
             }
         }
 
-        // Test set (the ATOM substitute). No test-vector or scan-cell
-        // reordering is applied, exactly like the paper's experiments.
-        let test_set = AtpgFlow::new(self.options.atpg.clone()).run(netlist);
-        let mut patterns = test_set.to_scan_patterns(netlist);
-        if let Some(limit) = self.options.max_patterns {
-            patterns.truncate(limit);
-        }
+        // Test set (the ATOM substitute), generated up to the pattern
+        // budget only: the budgeted set is the prefix of the full set that
+        // a truncation would keep, and its coverage is the replayed set's.
+        // No test-vector or scan-cell reordering is applied, exactly like
+        // the paper's experiments.
+        let test_set = AtpgFlow::new(self.options.atpg.clone())
+            .run_with_budget(netlist, self.options.max_patterns);
+        let patterns = test_set.to_scan_patterns(netlist);
         if let Some(limit) = self.options.limits.max_replayed_patterns {
             if patterns.len() > limit {
                 return Err(ExperimentError::ResourceLimit {
@@ -1082,6 +1087,63 @@ mod tests {
         assert_eq!(row.proposed, proposed_power);
     }
 
+    /// A budgeted row replays exactly what running ATPG to the end and
+    /// truncating its test set replays: every replayed column equals the
+    /// row composed from the truncated unbudgeted set, and
+    /// `fault_coverage` is the coverage of the replayed patterns.
+    #[test]
+    fn budgeted_rows_equal_truncated_rows_in_every_replayed_column() {
+        use scanpower_sim::fault::{all_net_faults, FaultSim};
+        for name in ["s344", "s641", "s1494"] {
+            let family = CircuitFamily::iscas89_like(name).unwrap();
+            let n = family.scaled(100.0 / family.gates() as f64).generate(1);
+            let full = AtpgFlow::new(AtpgConfig::fast()).run(&n);
+            let generated = full.patterns.len();
+            assert!(generated > 2, "{name}: nothing to truncate");
+            for budget in [1, generated / 2, generated, generated + 1] {
+                let experiment = CircuitExperiment::new(ExperimentOptions {
+                    max_patterns: Some(budget),
+                    ..ExperimentOptions::fast()
+                });
+                let row = experiment.run(&n);
+
+                let kept = budget.min(generated);
+                let patterns = &full.to_scan_patterns(&n)[..kept];
+                let replay = |netlist: &Netlist, patterns: &[ScanPattern], config: ShiftConfig| {
+                    experiment
+                        .try_evaluate_scheme_stats(netlist, patterns, &config)
+                        .unwrap()
+                        .0
+                };
+                let baseline = InputControlBaseline::new();
+                let plan = baseline.plan(&n);
+                let proposed = ProposedMethod::new(experiment.options().proposed.clone())
+                    .apply(&n)
+                    .unwrap();
+                let expected = CircuitRow {
+                    circuit: n.name().to_owned(),
+                    gates: n.gate_count(),
+                    flip_flops: n.dff_count(),
+                    patterns: patterns.len(),
+                    fault_coverage: FaultSim::new(&n).coverage(
+                        &n,
+                        &all_net_faults(&n),
+                        &full.patterns[..kept],
+                    ),
+                    mux_coverage: proposed.mux_coverage(),
+                    traditional: replay(&n, patterns, traditional_shift_config(&n)),
+                    input_control: replay(&n, patterns, baseline.shift_config(&n, &plan)),
+                    proposed: replay(
+                        proposed.structure.netlist(),
+                        &proposed.structure.adapt_patterns(patterns),
+                        proposed.structure.shift_config(&proposed.scan_mode_pi),
+                    ),
+                };
+                assert_eq!(row, expected, "{name}, budget {budget}");
+            }
+        }
+    }
+
     /// Per-scheme `ShiftStats` and power from the production replay equal
     /// the scalar reference replay exactly, including the per-net toggle
     /// counts and the bits of both power numbers.
@@ -1183,7 +1245,7 @@ mod tests {
 
     /// Resource ceilings refuse a circuit deterministically before any
     /// simulation dispatches — gates before ATPG, replayed patterns after
-    /// the `max_patterns` truncation.
+    /// ATPG has run to the `max_patterns` budget.
     #[test]
     fn resource_limits_refuse_oversized_circuits() {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();

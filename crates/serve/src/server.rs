@@ -26,6 +26,9 @@
 //!    [`CancelFlag`] parent. Every in-flight circuit attempt polls a
 //!    child of it at its replay-block checkpoints and winds down as a
 //!    deterministic `Canceled` row within one block.
+//! 5. **Retire** — a finished job stays pollable until
+//!    [`FINISHED_JOB_RETENTION`] newer jobs have finished; then it leaves
+//!    the job table and answers [`JobState::Unknown`].
 //!
 //! Because every layer below is bit-deterministic, identical submissions
 //! produce **byte-identical** `RowReady` payloads regardless of worker
@@ -48,6 +51,12 @@ use scanpower_wire::{decode_message, encode_message};
 
 use crate::protocol::{CircuitSource, JobId, JobSpec, JobState, Request, Response, RowOutcome};
 use crate::transport::{Connection, Transport};
+
+/// Finished jobs (done or failed) the server keeps answering for. Once
+/// more have finished, the oldest is dropped from the job table and a poll
+/// or cancel of it answers [`JobState::Unknown`]; queued and running jobs
+/// are never dropped.
+pub const FINISHED_JOB_RETENTION: usize = 256;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -101,6 +110,8 @@ struct ServerInner {
     queue: Mutex<VecDeque<JobId>>,
     queue_signal: Condvar,
     jobs: Mutex<HashMap<JobId, Arc<JobEntry>>>,
+    /// Finished job ids, oldest first, at most [`FINISHED_JOB_RETENTION`].
+    finished: Mutex<VecDeque<JobId>>,
     next_job: AtomicU64,
     shutdown: AtomicBool,
 }
@@ -129,6 +140,7 @@ impl Server {
             queue: Mutex::new(VecDeque::new()),
             queue_signal: Condvar::new(),
             jobs: Mutex::new(HashMap::new()),
+            finished: Mutex::new(VecDeque::new()),
             next_job: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
@@ -426,6 +438,19 @@ impl ServerInner {
                         job: entry.id,
                         message,
                     });
+            }
+        }
+        self.retire(id);
+    }
+
+    /// Records `id` as finished and drops the oldest finished job from the
+    /// table once more than [`FINISHED_JOB_RETENTION`] have finished.
+    fn retire(&self, id: JobId) {
+        let mut finished = self.finished.lock().expect("finished lock");
+        finished.push_back(id);
+        if finished.len() > FINISHED_JOB_RETENTION {
+            if let Some(oldest) = finished.pop_front() {
+                self.jobs.lock().expect("jobs lock").remove(&oldest);
             }
         }
     }
@@ -791,6 +816,72 @@ mod tests {
             other => panic!("expected RowReady, got {other:?}"),
         };
         assert_eq!(row(&from_family), row(&from_snapshot));
+    }
+
+    /// The job table keeps the newest [`FINISHED_JOB_RETENTION`] finished
+    /// jobs: the oldest polls `Unknown` once evicted, the newest `Done`.
+    #[test]
+    fn finished_jobs_beyond_the_retention_are_evicted() {
+        let server = Server::new(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        });
+        let spec = JobSpec {
+            circuits: vec![CircuitSource::Family {
+                spec: CircuitFamily::iscas89_like("s27").unwrap(),
+                scale: None,
+                seed: 1,
+            }],
+            options: ExperimentOptions::fast(),
+        };
+        let mut ids = Vec::new();
+        for _ in 0..FINISHED_JOB_RETENTION + 3 {
+            let Response::JobAccepted { job } = server
+                .inner
+                .handle(Request::SubmitJob(Box::new(spec.clone())))
+            else {
+                panic!("submission refused");
+            };
+            assert!(server.run_pending_job());
+            ids.push(job);
+        }
+        assert_eq!(
+            server.inner.jobs.lock().unwrap().len(),
+            FINISHED_JOB_RETENTION
+        );
+        assert_eq!(
+            server.inner.finished.lock().unwrap().len(),
+            FINISHED_JOB_RETENTION
+        );
+        let oldest = ids[0];
+        assert_eq!(
+            server.inner.handle(Request::PollJob(oldest)),
+            Response::JobStatus {
+                job: oldest,
+                state: JobState::Unknown,
+                completed: 0,
+                total: 0,
+            }
+        );
+        let newest = *ids.last().unwrap();
+        // Drain the row and the terminal event, then the status snapshot.
+        assert!(matches!(
+            server.inner.handle(Request::PollJob(newest)),
+            Response::RowReady { .. }
+        ));
+        assert!(matches!(
+            server.inner.handle(Request::PollJob(newest)),
+            Response::JobDone { rows: 1, .. }
+        ));
+        assert_eq!(
+            server.inner.handle(Request::PollJob(newest)),
+            Response::JobStatus {
+                job: newest,
+                state: JobState::Done,
+                completed: 1,
+                total: 1,
+            }
+        );
     }
 
     #[test]

@@ -179,36 +179,31 @@ impl AtpgFlow {
     /// depends on a later one, so the budgeted patterns are exactly the
     /// first `budget` patterns of the unbudgeted set. The budget is checked
     /// right after each kept random-phase pattern, before the next lane is
-    /// credited, and before each PODEM target; the work past the stop is
-    /// never done. Coverage and every [`TestSet`] counter describe the
-    /// budgeted set and the work spent on it.
+    /// credited, and before each PODEM target; past the stop no pattern is
+    /// kept and no verdict is counted. Coverage and every [`TestSet`]
+    /// counter describe the budgeted set and the work spent on it.
     #[must_use]
     pub fn run_with_budget(&self, netlist: &Netlist, budget: Option<usize>) -> TestSet {
         let faults = all_net_faults(netlist);
         let mut podem = Podem::new(netlist, self.config.backtrack_limit);
-        self.run_with(netlist, &faults, budget, |fault| {
-            podem.generate(netlist, fault)
-        })
-    }
-
-    /// Generates a test set targeting an explicit fault list.
-    #[must_use]
-    pub fn run_for_faults(&self, netlist: &Netlist, faults: &[Fault]) -> TestSet {
-        let mut podem = Podem::new(netlist, self.config.backtrack_limit);
-        self.run_with(netlist, faults, None, |fault| {
-            podem.generate(netlist, fault)
+        let mut search = podem.search(netlist, &faults);
+        self.run_with(netlist, &faults, budget, |index, wanted| {
+            search.outcome(index, wanted)
         })
     }
 
     /// The flow over any deterministic-phase generator, stopping once
-    /// `budget` patterns are kept: production passes [`Podem::generate`],
-    /// the identity tests the full-sweep oracle.
+    /// `budget` patterns are kept. `outcome(index, wanted)` returns the
+    /// PODEM outcome of `faults[index]`; `wanted(i)` says whether fault `i`
+    /// still needs one. Production passes the fault-parallel
+    /// [`FaultSearch`](crate::podem::FaultSearch), the identity tests the
+    /// full-sweep oracle one fault at a time.
     fn run_with(
         &self,
         netlist: &Netlist,
         faults: &[Fault],
         budget: Option<usize>,
-        mut generate: impl FnMut(Fault) -> PodemOutcome,
+        mut outcome: impl FnMut(usize, &dyn Fn(usize) -> bool) -> PodemOutcome,
     ) -> TestSet {
         let sim = FaultSim::new(netlist);
         let width = netlist.combinational_inputs().len();
@@ -332,21 +327,26 @@ impl AtpgFlow {
             next_block += group_len;
         }
 
-        // Phase 2: PODEM on the remaining faults. `detected_count` stays the
-        // running number of set flags, so the cutoff is the random phase's
-        // `target_met` expression without a recount per target. A full
-        // budget ends the phase before the next target.
+        // Phase 2: PODEM on the remaining faults, merged strictly in
+        // fault-list order. `detected_count` stays the running number of
+        // set flags, so the cutoff is the random phase's `target_met`
+        // expression without a recount per target. A full budget ends the
+        // phase before the next target. The generator may search later
+        // faults ahead (the fault-parallel search does); a fault's outcome
+        // depends on that fault alone, and one this loop skips or never
+        // reaches is neither merged nor counted, so the test set is what
+        // searching one fault at a time produces.
         let mut deterministic_patterns = 0usize;
         let mut untestable = 0usize;
         let mut aborted = 0usize;
-        for (index, &fault) in faults.iter().enumerate() {
+        for index in 0..faults.len() {
             if budget_full(patterns.len()) {
                 break;
             }
             if detected[index] || target_met(detected_count) {
                 continue;
             }
-            match generate(fault) {
+            match outcome(index, &|i| !detected[i]) {
                 PodemOutcome::Test(test) => {
                     let pattern: Vec<bool> = test
                         .iter()
@@ -632,8 +632,8 @@ mod tests {
                     threads: 1,
                     ..base.clone()
                 })
-                .run_with(&circuit, &faults, None, |fault| {
-                    oracle_podem.generate(&circuit, fault)
+                .run_with(&circuit, &faults, None, |index, _| {
+                    oracle_podem.generate(&circuit, faults[index])
                 });
                 for (total, count) in podem_tally.iter_mut().zip([
                     oracle.deterministic_patterns,
@@ -732,6 +732,50 @@ mod tests {
         // The sweep stops both phases: inside the random phase and inside
         // PODEM.
         assert!(stopped_in.iter().all(|&n| n > 0), "{stopped_in:?}");
+    }
+
+    /// With the random phase off, PODEM targets every fault, so a merged
+    /// test detects faults that are still being searched ahead of it. The
+    /// fault-parallel flow stops or discards those searches and must still
+    /// produce exactly the test set, verdict counters included, of the
+    /// full-sweep oracle merged one fault at a time.
+    #[test]
+    fn fault_parallel_kills_match_oracle_flow() {
+        let mut circuits = vec![bench::parse(bench::S27_BENCH, "s27").unwrap()];
+        for name in ["s344", "s641", "s1238", "s1494"] {
+            let family = CircuitFamily::iscas89_like(name).unwrap();
+            circuits.push(family.scaled(100.0 / family.gates() as f64).generate(1));
+        }
+        let mut killed = 0;
+        for circuit in &circuits {
+            let faults = all_net_faults(circuit);
+            for backtrack_limit in [3, 30] {
+                let flow = AtpgFlow::new(AtpgConfig {
+                    random_max_blocks: 0,
+                    target_coverage: 1.0,
+                    backtrack_limit,
+                    ..AtpgConfig::default()
+                });
+                let oracle_podem = FullSweepPodem::new(circuit, backtrack_limit);
+                let oracle = flow.run_with(circuit, &faults, None, |index, _| {
+                    oracle_podem.generate(circuit, faults[index])
+                });
+                let mut podem = Podem::new(circuit, backtrack_limit);
+                let mut search = podem.search(circuit, &faults);
+                let test_set = flow.run_with(circuit, &faults, None, |index, wanted| {
+                    search.outcome(index, wanted)
+                });
+                killed += search.killed();
+                let label = format!("{} (backtrack limit {backtrack_limit})", circuit.name());
+                assert_eq!(test_set, oracle, "{label}");
+                assert_eq!(flow.run(circuit), oracle, "{label}");
+                assert!(
+                    test_set.deterministic_patterns < test_set.detected_faults,
+                    "{label}: no test detected a second fault"
+                );
+            }
+        }
+        assert!(killed > 0, "no search was stopped in flight");
     }
 
     #[test]

@@ -35,4 +35,4 @@ mod flow;
 mod podem;
 
 pub use flow::{AtpgConfig, AtpgFlow, TestSet};
-pub use podem::{Podem, PodemOutcome};
+pub use podem::{FaultSearch, Podem, PodemOutcome};

@@ -7,13 +7,30 @@
 //! search backtracks when the fault can no longer be activated or its effect
 //! can no longer reach an observation point.
 //!
-//! Both machines live in one [`PackedWord`] per net: lane 0 is the good
-//! machine, lane 1 the faulty one (the remaining lanes mirror lane 0). The
-//! faulty lane of the fault site is pinned to the stuck value through the
-//! output hook of [`SimKernel::propagate_pinned`], so implication is the
-//! kernel's event-driven worklist: every decision, flip or backtrack writes
-//! only the inputs that changed and re-settles their fanout cones, instead
-//! of re-sweeping the circuit from all-X.
+//! # Fault-parallel search
+//!
+//! [`Podem`] searches up to 32 faults at once in one [`PackedWord`] per
+//! net. The fault in *pair* `k` keeps its good machine in lane `k` and its
+//! faulty machine in lane `32 + k`. Gate evaluation is lane-wise, so the
+//! pairs never interact. Each search step is:
+//!
+//! 1. one settle of every pair through [`SimKernel::propagate_pinned`],
+//!    whose output hook holds the faulty lane of each fault site at its
+//!    stuck value (per-net stuck-at-0 and stuck-at-1 lane masks);
+//! 2. one word-wide detection check over the observation points and one
+//!    word-wide D-frontier scan over the union of the faults' fanout cones;
+//! 3. per pair, exactly the step the one-fault algorithm takes next: a
+//!    decision, or a backtrack (undo pops and a flip), writing only the
+//!    pair's lanes of the inputs that change.
+//!
+//! A pair whose fault is finished is reset to the cached all-X state and
+//! refilled with the next fault. Settling re-evaluates a gate once for
+//! every fault whose cone it is in, instead of once per fault.
+//!
+//! A fault's lanes evolve exactly as they would alone, so its
+//! [`PodemOutcome`] does not depend on the faults that share the word.
+//! [`FaultSearch::outcome`] hands outcomes out in fault-list order, so a
+//! caller can consume them as if it had searched one fault at a time.
 //!
 //! The same backtrace machinery is reused by the justification step of the
 //! paper's `FindControlledInputPattern()` procedure (in `scanpower-core`),
@@ -38,58 +55,101 @@ pub enum PodemOutcome {
     Aborted,
 }
 
-/// PODEM test generator for a fixed netlist.
+/// Faults searched at once: pair `k` uses lane `k` for the good machine
+/// and lane `PAIRS + k` for the faulty one.
+const PAIRS: usize = 32;
+
+/// Both lanes of pair 0; shifted left by `k` for pair `k`.
+const PAIR0: u64 = 1 | 1 << PAIRS;
+
+/// The search state of one pair.
+#[derive(Debug, Clone)]
+struct Pair {
+    /// Position of the fault in the searched fault list.
+    index: usize,
+    fault: Fault,
+    assignment: Vec<Logic>,
+    /// Decision stack: (input index, value tried, second value tried?).
+    stack: Vec<(usize, bool, bool)>,
+    backtracks: usize,
+    /// Topological positions of the gates in the fault's fanout cone.
+    cone: Vec<u32>,
+    /// The cone's first position and one past its last.
+    span: (usize, usize),
+}
+
+/// PODEM test generator for a fixed netlist, searching up to 32 faults at
+/// once (see the module documentation).
 ///
-/// Both machines (good and faulty) are implied through the shared
+/// Both machines of every fault are implied through the shared
 /// [`SimKernel`], so the generator carries no gate-evaluation logic of its
-/// own. The per-fault scratch (value buffer, worklist, fanout cone) lives in
-/// the generator and is reused across faults.
+/// own. Its scratch (value buffer, worklist, pin masks, cones) is reused
+/// across faults and searches.
 #[derive(Debug, Clone)]
 pub struct Podem {
     kernel: SimKernel<PackedWord>,
     input_position: Vec<Option<usize>>,
-    is_observation: Vec<bool>,
+    /// Primary and pseudo outputs, deduplicated.
+    observation: Vec<NetId>,
     backtrack_limit: usize,
-    /// Settled values with every input unassigned: the start state of every
-    /// fault before its site is pinned.
+    /// Settled values with every input unassigned and nothing pinned: the
+    /// state a pair is reset to.
     unassigned: Vec<PackedWord>,
-    /// Both machines of the fault under search (lane 0 good, lane 1 faulty).
     values: Vec<PackedWord>,
     worklist: DirtyWorklist,
-    /// The fault's fanout cone in topological order — the only gates where
-    /// the machines can differ, so the only D-frontier candidates.
-    cone: Vec<GateId>,
-    /// Observation points inside the cone (or at the site itself).
-    cone_observed: Vec<NetId>,
-    in_cone: Vec<bool>,
+    /// Per net: the faulty lanes held at 0 and the faulty lanes held at 1.
+    pins: Vec<(u64, u64)>,
+    /// Per topological position: the pairs whose fault's fanout cone holds
+    /// the gate.
+    cone_pairs: Vec<u32>,
+    pairs: Vec<Pair>,
+    /// Pairs searching a fault.
+    active: u32,
+    /// Nets still to visit in a cone walk.
+    walk: Vec<NetId>,
 }
 
-/// Lane 0 of a two-machine word: the good machine.
-fn good(word: PackedWord) -> Logic {
-    word.lane(0)
+/// Per pair: both machines known and different at `word` — a fault effect
+/// (D or D̄).
+fn effect(word: PackedWord) -> u32 {
+    let known = word.known();
+    let value = word.can1();
+    // Truncation keeps the low (good-machine) half, aligned with the
+    // shifted faulty half.
+    (known & (known >> PAIRS) & (value ^ (value >> PAIRS))) as u32
 }
 
-/// Lane 1 of a two-machine word: the faulty machine.
-fn faulty(word: PackedWord) -> Logic {
-    word.lane(1)
+/// Per pair: both machines known at `word`.
+fn resolved(word: PackedWord) -> u32 {
+    let known = word.known();
+    (known & (known >> PAIRS)) as u32
 }
 
-/// Both machines known and different: a fault effect (D or D̄).
-fn has_effect(word: PackedWord) -> bool {
-    let (good, faulty) = (good(word), faulty(word));
-    good.is_known() && faulty.is_known() && good != faulty
+/// `true` when the good machine of `pair` is unknown at `word`.
+fn good_is_x(word: PackedWord, pair: usize) -> bool {
+    word.unknown() >> pair & 1 == 1
 }
 
-/// The output hook that holds the faulty lane of the fault site at the
-/// stuck value.
-fn pin_site(fault: Fault) -> impl Fn(NetId, PackedWord) -> PackedWord {
-    let stuck = Logic::from_bool(fault.stuck_at_one);
-    move |net, mut word| {
-        if net == fault.net {
-            word.set_lane(1, stuck);
-        }
-        word
+/// `word` with the lanes in `stuck0` held at 0 and those in `stuck1` at 1.
+fn pin(word: PackedWord, (stuck0, stuck1): (u64, u64)) -> PackedWord {
+    if stuck0 | stuck1 == 0 {
+        return word;
     }
+    PackedWord::from_planes(
+        (word.can0() | stuck0) & !stuck1,
+        (word.can1() | stuck1) & !stuck0,
+    )
+}
+
+/// The set bits of a pair mask, lowest first.
+fn pairs_of(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let pair = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            pair
+        })
+    })
 }
 
 impl Podem {
@@ -105,27 +165,37 @@ impl Podem {
         for (i, &net) in kernel.inputs().iter().enumerate() {
             input_position[net.index()] = Some(i);
         }
-        let mut is_observation = vec![false; netlist.net_count()];
-        for &net in netlist
-            .primary_outputs()
-            .iter()
-            .chain(&netlist.pseudo_outputs())
-        {
-            is_observation[net.index()] = true;
-        }
+        let mut observation = netlist.primary_outputs().to_vec();
+        observation.extend(netlist.pseudo_outputs());
+        observation.sort_unstable();
+        observation.dedup();
         let all_x = vec![PackedWord::splat(Logic::X); kernel.inputs().len()];
         let unassigned = kernel.evaluate(netlist, &all_x).to_vec();
         let worklist = kernel.make_worklist();
+        let idle = Pair {
+            index: 0,
+            fault: Fault {
+                net: NetId::from_index(0),
+                stuck_at_one: false,
+            },
+            assignment: Vec::new(),
+            stack: Vec::new(),
+            backtracks: 0,
+            cone: Vec::new(),
+            span: (0, 0),
+        };
         Podem {
             input_position,
-            is_observation,
+            observation,
             backtrack_limit,
             values: unassigned.clone(),
             unassigned,
             worklist,
-            cone: Vec::new(),
-            cone_observed: Vec::new(),
-            in_cone: vec![false; netlist.gate_count()],
+            pins: vec![(0, 0); netlist.net_count()],
+            cone_pairs: vec![0; netlist.gate_count()],
+            pairs: vec![idle; PAIRS],
+            active: 0,
+            walk: Vec::new(),
             kernel,
         }
     }
@@ -137,128 +207,220 @@ impl Podem {
         self.kernel.inputs()
     }
 
-    /// Attempts to generate a test for `fault`.
+    /// Attempts to generate a test for `fault`: a search of one fault.
     pub fn generate(&mut self, netlist: &Netlist, fault: Fault) -> PodemOutcome {
-        let mut assignment: Vec<Logic> = vec![Logic::X; self.inputs().len()];
-        self.start(netlist, fault);
+        self.search(netlist, std::slice::from_ref(&fault))
+            .outcome(0, |_| true)
+    }
 
-        // Decision stack: (input index, value tried, second value tried?).
-        let mut stack: Vec<(usize, bool, bool)> = Vec::new();
-        let mut backtracks = 0usize;
-
-        loop {
-            if self.fault_detected() {
-                return PodemOutcome::Test(assignment);
-            }
-            let objective = self.objective(netlist, fault);
-            let decision = objective.and_then(|(net, value)| self.backtrace(netlist, net, value));
-
-            match decision {
-                Some((input_index, value)) => {
-                    assignment[input_index] = Logic::from_bool(value);
-                    stack.push((input_index, value, false));
-                    self.assign(fault, input_index, assignment[input_index]);
-                    self.settle(netlist, fault);
-                }
-                None => {
-                    // No way forward: backtrack.
-                    loop {
-                        match stack.pop() {
-                            Some((input_index, value, tried_both)) => {
-                                if tried_both {
-                                    assignment[input_index] = Logic::X;
-                                    self.assign(fault, input_index, Logic::X);
-                                    continue;
-                                }
-                                backtracks += 1;
-                                if backtracks > self.backtrack_limit {
-                                    return PodemOutcome::Aborted;
-                                }
-                                assignment[input_index] = Logic::from_bool(!value);
-                                stack.push((input_index, !value, true));
-                                self.assign(fault, input_index, assignment[input_index]);
-                                self.settle(netlist, fault);
-                                break;
-                            }
-                            None => return PodemOutcome::Untestable,
-                        }
-                    }
-                }
-            }
+    /// Starts a search over `faults`; ask for outcomes, in fault-list
+    /// order, with [`FaultSearch::outcome`]. Faults still in flight when a
+    /// previous search was dropped are abandoned.
+    pub fn search<'a>(&'a mut self, netlist: &'a Netlist, faults: &'a [Fault]) -> FaultSearch<'a> {
+        self.release(self.active);
+        FaultSearch {
+            podem: self,
+            netlist,
+            faults,
+            next: 0,
+            finished: vec![None; faults.len()],
+            killed: 0,
         }
     }
 
-    /// Resets the scratch to the unassigned state with the fault site
-    /// pinned, settles it, and collects the fault's fanout cone.
-    fn start(&mut self, netlist: &Netlist, fault: Fault) {
-        self.values.copy_from_slice(&self.unassigned);
-        let site = &mut self.values[fault.net.index()];
-        let pinned = pin_site(fault)(fault.net, *site);
-        if pinned != *site {
-            *site = pinned;
+    /// Puts fault `faults[index]` into the idle `pair`: pins its site,
+    /// marks the site's readers and records its fanout cone.
+    fn launch(&mut self, netlist: &Netlist, pair: usize, index: usize, fault: Fault) {
+        let inputs = self.kernel.inputs().len();
+        let state = &mut self.pairs[pair];
+        state.index = index;
+        state.fault = fault;
+        state.assignment.clear();
+        state.assignment.resize(inputs, Logic::X);
+        state.stack.clear();
+        state.backtracks = 0;
+
+        let lane = 1u64 << (PAIRS + pair);
+        let pins = &mut self.pins[fault.net.index()];
+        if fault.stuck_at_one {
+            pins.1 |= lane;
+        } else {
+            pins.0 |= lane;
+        }
+        let site = self.values[fault.net.index()];
+        let pinned = pin(site, *pins);
+        if pinned != site {
+            self.values[fault.net.index()] = pinned;
             self.kernel.mark_net_changed(fault.net, &mut self.worklist);
         }
-        self.settle(netlist, fault);
 
-        for gate in self.cone.drain(..) {
-            self.in_cone[gate.index()] = false;
-        }
-        self.cone_observed.clear();
-        if self.is_observation[fault.net.index()] {
-            self.cone_observed.push(fault.net);
-        }
-        let mut frontier = vec![fault.net];
-        while let Some(net) = frontier.pop() {
+        let bit = 1u32 << pair;
+        state.cone.clear();
+        let (mut first, mut end) = (usize::MAX, 0);
+        self.walk.push(fault.net);
+        while let Some(net) = self.walk.pop() {
             for &(gate, _) in netlist.loads(net) {
-                if !self.in_cone[gate.index()] {
-                    self.in_cone[gate.index()] = true;
-                    self.cone.push(gate);
-                    let output = netlist.gate(gate).output;
-                    if self.is_observation[output.index()] {
-                        self.cone_observed.push(output);
-                    }
-                    frontier.push(output);
+                let position = self.kernel.position_of(gate);
+                if self.cone_pairs[position] & bit == 0 {
+                    self.cone_pairs[position] |= bit;
+                    state.cone.push(position as u32);
+                    first = first.min(position);
+                    end = end.max(position + 1);
+                    self.walk.push(netlist.gate(gate).output);
                 }
             }
         }
-        let kernel = &self.kernel;
-        self.cone
-            .sort_unstable_by_key(|&gate| kernel.position_of(gate));
+        state.span = (first.min(end), end);
+        self.active |= bit;
     }
 
-    /// Writes one combinational input (both machines; the faulty lane stays
-    /// pinned if the input is the fault site) and marks its readers dirty.
-    fn assign(&mut self, fault: Fault, input_index: usize, value: Logic) {
+    /// Frees `pairs`: unpins their sites, forgets their cones and resets
+    /// their lanes of every net to the unassigned state.
+    fn release(&mut self, pairs: u32) {
+        if pairs == 0 {
+            return;
+        }
+        let mut lanes = 0u64;
+        for pair in pairs_of(pairs) {
+            let state = &self.pairs[pair];
+            let lane = 1u64 << (PAIRS + pair);
+            let pins = &mut self.pins[state.fault.net.index()];
+            pins.0 &= !lane;
+            pins.1 &= !lane;
+            for &position in &state.cone {
+                self.cone_pairs[position as usize] &= !(1 << pair);
+            }
+            lanes |= PAIR0 << pair;
+        }
+        // The unassigned state is settled and unpinned, so the reset lanes
+        // stay settled; pending marks of other pairs are unaffected.
+        for (word, reset) in self.values.iter_mut().zip(&self.unassigned) {
+            *word = PackedWord::from_planes(
+                (word.can0() & !lanes) | (reset.can0() & lanes),
+                (word.can1() & !lanes) | (reset.can1() & lanes),
+            );
+        }
+        self.active &= !pairs;
+    }
+
+    /// One search step of every active pair; outcomes land in `finished`
+    /// by fault-list position, and the finished pairs are freed.
+    fn step(&mut self, netlist: &Netlist, finished: &mut [Option<PodemOutcome>]) {
+        self.settle(netlist);
+        let detected = self
+            .observation
+            .iter()
+            .fold(0, |mask, &net| mask | effect(self.values[net.index()]))
+            & self.active;
+        // Pairs whose site carries the activating value look for a
+        // D-frontier gate.
+        let mut activated = 0u32;
+        for pair in pairs_of(self.active & !detected) {
+            let fault = self.pairs[pair].fault;
+            if self.values[fault.net.index()].lane(pair) == Logic::from_bool(!fault.stuck_at_one) {
+                activated |= 1 << pair;
+            }
+        }
+        let frontier = self.d_frontier(netlist, activated);
+        let mut done = 0u32;
+        for pair in pairs_of(self.active) {
+            let outcome = if detected >> pair & 1 == 1 {
+                Some(PodemOutcome::Test(std::mem::take(
+                    &mut self.pairs[pair].assignment,
+                )))
+            } else {
+                self.advance(netlist, pair, frontier[pair])
+            };
+            if let Some(outcome) = outcome {
+                finished[self.pairs[pair].index] = Some(outcome);
+                done |= 1 << pair;
+            }
+        }
+        self.release(done);
+    }
+
+    /// The one-fault algorithm's next move for `pair`: a decision, or a
+    /// backtrack to the latest untried alternative. Returns the outcome
+    /// once the fault is aborted or proved untestable.
+    fn advance(
+        &mut self,
+        netlist: &Netlist,
+        pair: usize,
+        frontier: Option<GateId>,
+    ) -> Option<PodemOutcome> {
+        let decision = self
+            .objective(netlist, pair, frontier)
+            .and_then(|(net, value)| self.backtrace(netlist, pair, net, value));
+        if let Some((input_index, value)) = decision {
+            self.pairs[pair].stack.push((input_index, value, false));
+            self.assign(pair, input_index, Logic::from_bool(value));
+            return None;
+        }
+        // No way forward: backtrack.
+        while let Some((input_index, value, tried_both)) = self.pairs[pair].stack.pop() {
+            if tried_both {
+                self.assign(pair, input_index, Logic::X);
+                continue;
+            }
+            let state = &mut self.pairs[pair];
+            state.backtracks += 1;
+            if state.backtracks > self.backtrack_limit {
+                return Some(PodemOutcome::Aborted);
+            }
+            state.stack.push((input_index, !value, true));
+            self.assign(pair, input_index, Logic::from_bool(!value));
+            return None;
+        }
+        Some(PodemOutcome::Untestable)
+    }
+
+    /// Writes one combinational input in both machines of `pair` (the
+    /// faulty lane stays pinned if the input is a fault site) and marks
+    /// its readers dirty.
+    fn assign(&mut self, pair: usize, input_index: usize, value: Logic) {
+        self.pairs[pair].assignment[input_index] = value;
         let net = self.kernel.inputs()[input_index];
-        let word = pin_site(fault)(net, PackedWord::splat(value));
-        if self.values[net.index()] != word {
+        let lanes = PAIR0 << pair;
+        let (can0, can1) = match value {
+            Logic::Zero => (lanes, 0),
+            Logic::One => (0, lanes),
+            Logic::X => (lanes, lanes),
+        };
+        let old = self.values[net.index()];
+        let word = pin(
+            PackedWord::from_planes((old.can0() & !lanes) | can0, (old.can1() & !lanes) | can1),
+            self.pins[net.index()],
+        );
+        if word != old {
             self.values[net.index()] = word;
             self.kernel.mark_net_changed(net, &mut self.worklist);
         }
     }
 
-    /// Forward three-valued implication of both machines: re-settles the
-    /// fanout cones of the inputs written since the last call.
-    fn settle(&mut self, netlist: &Netlist, fault: Fault) {
+    /// Forward three-valued implication of every pair: re-settles the
+    /// fanout cones of the nets written since the last call.
+    fn settle(&mut self, netlist: &Netlist) {
+        let pins = &self.pins;
         self.kernel.propagate_pinned(
             netlist,
             &mut self.values,
             &mut self.worklist,
-            pin_site(fault),
+            |net, word| pin(word, pins[net.index()]),
             |_, _, _| {},
         );
     }
 
-    fn fault_detected(&self) -> bool {
-        self.cone_observed
-            .iter()
-            .any(|&net| has_effect(self.values[net.index()]))
-    }
-
-    /// Picks the next objective `(net, value)`.
-    fn objective(&self, netlist: &Netlist, fault: Fault) -> Option<(NetId, bool)> {
+    /// Picks the next objective `(net, value)` of `pair`, given its
+    /// D-frontier gate.
+    fn objective(
+        &self,
+        netlist: &Netlist,
+        pair: usize,
+        frontier: Option<GateId>,
+    ) -> Option<(NetId, bool)> {
         // Phase 1: activate the fault.
-        let site_good = good(self.values[fault.net.index()]);
+        let fault = self.pairs[pair].fault;
+        let site_good = self.values[fault.net.index()].lane(pair);
         if site_good == Logic::X {
             return Some((fault.net, !fault.stuck_at_one));
         }
@@ -268,15 +430,14 @@ impl Podem {
             // assignment.
             return None;
         }
-        // Phase 2: propagate — pick a gate from the D-frontier and set one
-        // of its unknown inputs to the non-controlling value.
-        let frontier_gate = self.d_frontier(netlist)?;
-        let gate = netlist.gate(frontier_gate);
+        // Phase 2: propagate — take the D-frontier gate and set one of its
+        // unknown inputs to the non-controlling value.
+        let gate = netlist.gate(frontier?);
         let unknown = gate
             .inputs
             .iter()
             .copied()
-            .find(|&n| good(self.values[n.index()]) == Logic::X)?;
+            .find(|&n| good_is_x(self.values[n.index()], pair))?;
         let non_controlling = match gate.kind.controlling_value() {
             Some(cv) => !cv,
             None => true,
@@ -284,29 +445,60 @@ impl Podem {
         Some((unknown, non_controlling))
     }
 
-    /// First gate (in topological order) whose output does not yet carry a
-    /// definite fault-effect status (at least one machine still evaluates it
-    /// to X) but which has a fault effect (good ≠ faulty, both known) on at
-    /// least one input. Only the fault's fanout cone is scanned: outside it
-    /// the two machines agree on every net, so no gate there has an effect
-    /// on an input and the first match is the same as over the full order.
-    fn d_frontier(&self, netlist: &Netlist) -> Option<GateId> {
-        self.cone.iter().copied().find(|&gate_id| {
+    /// Per pair in `wanted`: the first gate (in topological order) whose
+    /// output does not yet carry a definite fault-effect status (at least
+    /// one machine still evaluates it to X) but which has a fault effect
+    /// (good ≠ faulty, both known) on at least one input.
+    ///
+    /// One scan over the union of the wanted faults' fanout cones serves
+    /// every pair. Outside a fault's cone its two machines agree on every
+    /// net, so no gate there has an effect on an input, and the first match
+    /// inside the cone is the first over the full order.
+    fn d_frontier(&self, netlist: &Netlist, wanted: u32) -> [Option<GateId>; PAIRS] {
+        let mut frontier = [None; PAIRS];
+        if wanted == 0 {
+            return frontier;
+        }
+        let (start, end) = pairs_of(wanted).fold((usize::MAX, 0), |(start, end), pair| {
+            let span = self.pairs[pair].span;
+            (start.min(span.0), end.max(span.1))
+        });
+        let gates = self.cone_pairs[start..end]
+            .iter()
+            .zip(&self.kernel.order()[start..end]);
+        let mut pending = wanted;
+        for (&cone, &gate_id) in gates {
+            let candidates = cone & pending;
+            if candidates == 0 {
+                continue;
+            }
             let gate = netlist.gate(gate_id);
-            let out = self.values[gate.output.index()];
-            !(good(out).is_known() && faulty(out).is_known())
-                && gate
+            let open = candidates & !resolved(self.values[gate.output.index()]);
+            if open == 0 {
+                continue;
+            }
+            let hits = open
+                & gate
                     .inputs
                     .iter()
-                    .any(|&n| has_effect(self.values[n.index()]))
-        })
+                    .fold(0, |mask, &n| mask | effect(self.values[n.index()]));
+            for pair in pairs_of(hits) {
+                frontier[pair] = Some(gate_id);
+            }
+            pending &= !hits;
+            if pending == 0 {
+                break;
+            }
+        }
+        frontier
     }
 
-    /// Maps an internal objective to a primary-input assignment by walking
-    /// backwards through unknown gate inputs.
+    /// Maps an internal objective of `pair` to a primary-input assignment
+    /// by walking backwards through unknown gate inputs.
     fn backtrace(
         &self,
         netlist: &Netlist,
+        pair: usize,
         objective_net: NetId,
         objective_value: bool,
     ) -> Option<(usize, bool)> {
@@ -315,7 +507,7 @@ impl Podem {
         loop {
             if let Some(position) = self.input_position[net.index()] {
                 // Don't re-assign an already decided input.
-                if good(self.values[net.index()]) != Logic::X {
+                if !good_is_x(self.values[net.index()], pair) {
                     return None;
                 }
                 return Some((position, value));
@@ -326,7 +518,7 @@ impl Podem {
                 .inputs
                 .iter()
                 .copied()
-                .find(|&n| good(self.values[n.index()]) == Logic::X)?;
+                .find(|&n| good_is_x(self.values[n.index()], pair))?;
             if gate.kind.is_inverting() {
                 value = !value;
             }
@@ -335,6 +527,75 @@ impl Podem {
             // input is sound because the decision is re-implied afterwards.
             net = unknown_input;
         }
+    }
+}
+
+/// A fault-parallel search over one fault list, started by
+/// [`Podem::search`].
+///
+/// The search keeps every pair busy with the next faults the caller still
+/// wants, speculatively ahead of the fault it was asked for, and keeps
+/// finished outcomes until they are asked for. Asking for outcomes in
+/// increasing fault-list position therefore returns exactly what searching
+/// each of those faults alone would have returned.
+#[derive(Debug)]
+pub struct FaultSearch<'a> {
+    podem: &'a mut Podem,
+    netlist: &'a Netlist,
+    faults: &'a [Fault],
+    /// Next fault-list position to consider for an idle pair.
+    next: usize,
+    /// Finished outcomes not yet asked for, by fault-list position.
+    finished: Vec<Option<PodemOutcome>>,
+    killed: usize,
+}
+
+impl FaultSearch<'_> {
+    /// The outcome of `faults[index]`.
+    ///
+    /// `wanted(i)` says whether fault `i` still needs a search. It is
+    /// checked before a fault is put into a pair, and again for every fault
+    /// in flight when this method is called: an in-flight fault that is no
+    /// longer wanted is stopped (see [`FaultSearch::killed`]). A fault that
+    /// stops being wanted must stay unwanted, and `index` must be wanted.
+    /// Ask for increasing positions; an outcome is handed out once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `faults[index]` is not searched: it was not wanted when
+    /// its turn came, or its outcome was already handed out.
+    pub fn outcome(&mut self, index: usize, wanted: impl Fn(usize) -> bool) -> PodemOutcome {
+        let podem = &mut *self.podem;
+        let unwanted = pairs_of(podem.active)
+            .filter(|&pair| !wanted(podem.pairs[pair].index))
+            .fold(0u32, |mask, pair| mask | 1 << pair);
+        self.killed += unwanted.count_ones() as usize;
+        podem.release(unwanted);
+        loop {
+            if let Some(outcome) = self.finished[index].take() {
+                return outcome;
+            }
+            let mut idle = !podem.active;
+            while idle != 0 && self.next < self.faults.len() {
+                if wanted(self.next) {
+                    let pair = idle.trailing_zeros() as usize;
+                    podem.launch(self.netlist, pair, self.next, self.faults[self.next]);
+                    idle &= idle - 1;
+                }
+                self.next += 1;
+            }
+            assert!(
+                podem.active != 0,
+                "fault {index} is not searched: it was not wanted, or its outcome was taken"
+            );
+            podem.step(self.netlist, &mut self.finished);
+        }
+    }
+
+    /// Faults stopped in flight because they were no longer wanted.
+    #[must_use]
+    pub fn killed(&self) -> usize {
+        self.killed
     }
 }
 
@@ -638,22 +899,35 @@ mod tests {
         }
     }
 
-    /// Every fault of `netlist`, in fault-list order on one reused
-    /// generator, must get exactly the oracle's outcome — the test vector
-    /// bit for bit, or the same untestable/aborted verdict.
+    /// Every fault of `netlist` must get exactly the oracle's outcome —
+    /// the test vector bit for bit, or the same untestable/aborted verdict —
+    /// whatever faults share its word: the fault list is searched in
+    /// batches of 1, 2, 31, 32 and 33 faults on one reused generator (33
+    /// refills a pair mid-batch).
     fn assert_outcomes_match_oracle(netlist: &Netlist, backtrack_limit: usize) -> [usize; 3] {
-        let mut podem = Podem::new(netlist, backtrack_limit);
+        let faults = all_net_faults(netlist);
         let oracle = FullSweepPodem::new(netlist, backtrack_limit);
+        let expected: Vec<PodemOutcome> = faults
+            .iter()
+            .map(|&fault| oracle.generate(netlist, fault))
+            .collect();
+        let mut podem = Podem::new(netlist, backtrack_limit);
+        for width in [1, 2, 31, 32, 33] {
+            for (batch, expected) in faults.chunks(width).zip(expected.chunks(width)) {
+                let mut search = podem.search(netlist, batch);
+                for (index, expected) in expected.iter().enumerate() {
+                    assert_eq!(
+                        &search.outcome(index, |_| true),
+                        expected,
+                        "{}: {}, batch width {width}, limit {backtrack_limit}",
+                        netlist.name(),
+                        batch[index].describe(netlist)
+                    );
+                }
+            }
+        }
         let mut tally = [0usize; 3];
-        for fault in all_net_faults(netlist) {
-            let outcome = podem.generate(netlist, fault);
-            assert_eq!(
-                outcome,
-                oracle.generate(netlist, fault),
-                "{}: {}",
-                netlist.name(),
-                fault.describe(netlist)
-            );
+        for outcome in &expected {
             tally[match outcome {
                 PodemOutcome::Test(_) => 0,
                 PodemOutcome::Untestable => 1,
@@ -666,13 +940,13 @@ mod tests {
     #[test]
     fn outcomes_match_oracle_on_s27() {
         let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        for limit in [0, 1, 500] {
+        for limit in [0, 1, 3, 30, 500] {
             assert_outcomes_match_oracle(&n, limit);
         }
     }
 
     /// Reduced-scale generated circuits exercise all three outcomes
-    /// (the small backtrack limit forces aborts).
+    /// (the small backtrack limits force aborts).
     #[test]
     fn outcomes_match_oracle_on_generated_circuits() {
         let mut tally = [0usize; 3];
@@ -681,7 +955,7 @@ mod tests {
                 .unwrap()
                 .scaled(0.2)
                 .generate(1);
-            for limit in [3, 30] {
+            for limit in [0, 1, 3, 30] {
                 let counts = assert_outcomes_match_oracle(&circuit, limit);
                 for (total, count) in tally.iter_mut().zip(counts) {
                     *total += count;
@@ -689,5 +963,56 @@ mod tests {
             }
         }
         assert!(tally.iter().all(|&count| count > 0), "outcomes {tally:?}");
+    }
+
+    /// Faults that stop being wanted are stopped in flight or never
+    /// started, an abandoned search leaves nothing behind, and the faults
+    /// still asked for keep the oracle's outcome.
+    #[test]
+    fn fault_parallel_search_stops_unwanted_faults() {
+        let circuit = CircuitFamily::iscas89_like("s641")
+            .unwrap()
+            .scaled(0.2)
+            .generate(1);
+        let faults = all_net_faults(&circuit);
+        let oracle = FullSweepPodem::new(&circuit, 30);
+        let mut podem = Podem::new(&circuit, 30);
+
+        // Abandon a search with every pair busy.
+        let mut search = podem.search(&circuit, &faults);
+        assert_eq!(
+            search.outcome(0, |_| true),
+            oracle.generate(&circuit, faults[0])
+        );
+        drop(search);
+
+        // After the first outcome, faults 1..=20 stop being wanted: the
+        // ones still in flight are stopped, the others are never asked for.
+        let cutoff = std::cell::Cell::new(0);
+        let wanted = |index: usize| index == 0 || index > cutoff.get();
+        let mut search = podem.search(&circuit, &faults);
+        assert_eq!(
+            search.outcome(0, wanted),
+            oracle.generate(&circuit, faults[0])
+        );
+        cutoff.set(20);
+        for (index, &fault) in faults.iter().enumerate().skip(21) {
+            assert_eq!(
+                search.outcome(index, wanted),
+                oracle.generate(&circuit, fault),
+                "{}",
+                fault.describe(&circuit)
+            );
+        }
+        assert!(search.killed() > 0, "no fault was stopped in flight");
+        drop(search);
+
+        // One-fault calls on the reused generator.
+        for &fault in faults.iter().take(40) {
+            assert_eq!(
+                podem.generate(&circuit, fault),
+                oracle.generate(&circuit, fault)
+            );
+        }
     }
 }

@@ -12,6 +12,7 @@
 //! | Ablation C | `ablation_mux_coverage` | power vs fraction of multiplexed scan cells |
 //! | — | `parallel_blocks` | block-parallel driver speed-up (sequential vs auto threads) on the IVC search and sampled observability |
 //! | — | `scan_shift` | scalar vs packed 64-pattern scan-shift replay, and the multi-circuit Table I sharding at 1 vs auto threads (snapshot: `BENCH_scan_shift.json`) |
+//! | — | `atpg` | the ATPG deterministic (PODEM) phase and the whole two-phase flow on full-size s1196 (default profile) and s1494 (`fast()`) (snapshot: `BENCH_atpg.json`) |
 //! | — | `result_cache` | content-addressed result cache on the Table I flow: uncached baseline vs cold miss vs warm in-memory hit vs disk-tier hit (snapshot: `BENCH_cache.json`) |
 //!
 //! The benches intentionally run on *scaled* synthetic circuits so that

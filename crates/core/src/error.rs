@@ -38,7 +38,8 @@ pub enum ExperimentError {
     ResourceLimit {
         /// The rejected circuit's name.
         circuit: String,
-        /// Which ceiling fired (`"gates"` or `"patterns"`).
+        /// Which ceiling fired (`"gates"` or `"patterns"`; the job
+        /// service also refuses `"fanin"` at submit).
         resource: &'static str,
         /// The configured ceiling.
         limit: usize,

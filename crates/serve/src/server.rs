@@ -58,6 +58,13 @@ use crate::transport::{Connection, Transport};
 /// are never dropped.
 pub const FINISHED_JOB_RETENTION: usize = 256;
 
+/// The widest gate (input pins) a submitted circuit may contain. The
+/// static-power estimator builds a `2^fanin`-entry table per distinct gate
+/// kind and fanin, so one 31-pin gate (the most lint admits) would ask for
+/// 16 GiB; at this cap a table is at most 512 KiB. Checked at submit,
+/// before the job is queued.
+pub const MAX_GATE_FANIN: usize = 16;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -464,22 +471,28 @@ impl ServerInner {
 /// The job's gate ceiling (`max_gates`) is checked before a family is
 /// generated — generation emits exactly `spec.gates()` gates, so the check
 /// is exact and a refused job never pays for a large generation — and
-/// before a decoded snapshot is queued.
+/// before a decoded snapshot is queued. The server-wide fanin cap
+/// ([`MAX_GATE_FANIN`]) is checked on every resolved netlist before it is
+/// queued.
 fn resolve_circuits(
     sources: &[CircuitSource],
     max_gates: Option<usize>,
 ) -> Result<Vec<Netlist>, String> {
-    let check_gates = |index: usize, circuit: &str, actual: usize| match max_gates {
-        Some(limit) if actual > limit => {
+    let check = |index: usize, circuit: &str, resource, limit, actual| {
+        if actual > limit {
             let refusal = ExperimentError::ResourceLimit {
                 circuit: circuit.to_owned(),
-                resource: "gates",
+                resource,
                 limit,
                 actual,
             };
-            Err(format!("circuit {index}: {refusal}"))
+            return Err(format!("circuit {index}: {refusal}"));
         }
-        _ => Ok(()),
+        Ok(())
+    };
+    let check_gates = |index: usize, circuit: &str, actual: usize| match max_gates {
+        Some(limit) => check(index, circuit, "gates", limit, actual),
+        None => Ok(()),
     };
     let mut netlists = Vec::with_capacity(sources.len());
     for (index, source) in sources.iter().enumerate() {
@@ -501,6 +514,13 @@ fn resolve_circuits(
                 netlist
             }
         };
+        let fanin = netlist
+            .gates()
+            .iter()
+            .map(|gate| gate.inputs.len())
+            .max()
+            .unwrap_or(0);
+        check(index, netlist.name(), "fanin", MAX_GATE_FANIN, fanin)?;
         netlist
             .validate()
             .map_err(|error| format!("circuit {index}: invalid netlist: {error}"))?;
@@ -781,6 +801,52 @@ mod tests {
                 scale: None,
                 seed: 1,
             }),
+            Response::JobAccepted { .. }
+        ));
+    }
+
+    /// The server-wide fanin cap refuses a snapshot whose widest gate has
+    /// more than [`MAX_GATE_FANIN`] pins at submit, with a typed resource
+    /// refusal, and queues nothing; a gate at the cap is accepted.
+    #[test]
+    fn fanin_cap_refuses_wide_gates_before_queueing() {
+        let server = Server::new(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        });
+        let snapshot = |fanin: usize| {
+            let mut netlist = Netlist::new(format!("wide{fanin}"));
+            let inputs: Vec<_> = (0..fanin)
+                .map(|pin| netlist.add_input(&format!("i{pin}")))
+                .collect();
+            let gate = netlist.add_gate(scanpower_netlist::GateKind::And, &inputs, "wide");
+            let q = netlist.add_dff(gate.output, "q");
+            netlist.mark_output(q);
+            CircuitSource::Snapshot {
+                bytes: netlist.to_wire_bytes(),
+            }
+        };
+        let submit = |source: CircuitSource| {
+            server.inner.handle(Request::SubmitJob(Box::new(JobSpec {
+                circuits: vec![source],
+                options: ExperimentOptions::fast(),
+            })))
+        };
+
+        let Response::Error { message } = submit(snapshot(MAX_GATE_FANIN + 1)) else {
+            panic!("a gate over the fanin cap must be refused at submit");
+        };
+        let refusal = ExperimentError::ResourceLimit {
+            circuit: "wide17".into(),
+            resource: "fanin",
+            limit: MAX_GATE_FANIN,
+            actual: MAX_GATE_FANIN + 1,
+        };
+        assert_eq!(message, format!("circuit 0: {refusal}"));
+        assert!(!server.run_pending_job(), "nothing was queued");
+
+        assert!(matches!(
+            submit(snapshot(MAX_GATE_FANIN)),
             Response::JobAccepted { .. }
         ));
     }

@@ -799,8 +799,8 @@ impl<W: LogicWord> SimKernel<W> {
     /// [`SimKernel::propagate_from`] with an output hook. Every re-evaluated
     /// gate's output word passes through `pin(net, word)` before it is
     /// compared and stored, so a caller can hold chosen lanes of chosen nets
-    /// at fixed values — PODEM pins the faulty-machine lane of the fault
-    /// site this way. The buffer is settled on return in the pinned sense:
+    /// at fixed values — PODEM pins the faulty-machine lanes of its fault
+    /// sites this way. The buffer is settled on return in the pinned sense:
     /// it equals a full topological sweep that applies the same `pin` to
     /// every gate output. A pinned source net must be written pinned by the
     /// caller, since no gate drives it.

@@ -616,7 +616,7 @@ mod tests {
         }
     }
 
-    /// The event-driven flow must produce exactly the test set of the
+    /// The fault-parallel flow must produce exactly the test set of the
     /// full-sweep PODEM oracle on every Table I family (scaled to about a
     /// hundred gates), for both profiles and any thread count.
     #[test]

@@ -14,18 +14,21 @@
 //! faulty machine in lane `32 + k`. Gate evaluation is lane-wise, so the
 //! pairs never interact. Each search step is:
 //!
-//! 1. one settle of every pair through [`SimKernel::propagate_pinned`],
-//!    whose output hook holds the faulty lane of each fault site at its
-//!    stuck value (per-net stuck-at-0 and stuck-at-1 lane masks);
+//! 1. one settle of every pair: a single topological sweep through
+//!    [`SimKernel::propagate_pinned`], whose output hook holds the faulty
+//!    lane of each fault site at its stuck value (per-net stuck-at-0 and
+//!    stuck-at-1 lane masks). With ~30 pairs active the union of their
+//!    input changes reaches most gates on every step, so a sweep does less
+//!    work than a worklist that would mark nearly every gate anyway;
 //! 2. one word-wide detection check over the observation points and one
 //!    word-wide D-frontier scan over the union of the faults' fanout cones;
 //! 3. per pair, exactly the step the one-fault algorithm takes next: a
 //!    decision, or a backtrack (undo pops and a flip), writing only the
 //!    pair's lanes of the inputs that change.
 //!
-//! A pair whose fault is finished is reset to the cached all-X state and
-//! refilled with the next fault. Settling re-evaluates a gate once for
-//! every fault whose cone it is in, instead of once per fault.
+//! A pair whose fault is finished gets X on all its input lanes and is
+//! refilled with the next fault. Settling evaluates each gate once for all
+//! 32 faults, instead of once per fault.
 //!
 //! A fault's lanes evolve exactly as they would alone, so its
 //! [`PodemOutcome`] does not depend on the faults that share the word.
@@ -39,7 +42,7 @@
 
 use scanpower_netlist::{GateId, NetId, Netlist};
 use scanpower_sim::fault::Fault;
-use scanpower_sim::kernel::{DirtyWorklist, LogicWord, PackedWord};
+use scanpower_sim::kernel::{LogicWord, PackedWord};
 use scanpower_sim::{Logic, SimKernel};
 
 /// Result of a PODEM run for one fault.
@@ -83,7 +86,7 @@ struct Pair {
 ///
 /// Both machines of every fault are implied through the shared
 /// [`SimKernel`], so the generator carries no gate-evaluation logic of its
-/// own. Its scratch (value buffer, worklist, pin masks, cones) is reused
+/// own. Its scratch (value buffer, pin masks, cones) is reused
 /// across faults and searches.
 #[derive(Debug, Clone)]
 pub struct Podem {
@@ -92,11 +95,7 @@ pub struct Podem {
     /// Primary and pseudo outputs, deduplicated.
     observation: Vec<NetId>,
     backtrack_limit: usize,
-    /// Settled values with every input unassigned and nothing pinned: the
-    /// state a pair is reset to.
-    unassigned: Vec<PackedWord>,
     values: Vec<PackedWord>,
-    worklist: DirtyWorklist,
     /// Per net: the faulty lanes held at 0 and the faulty lanes held at 1.
     pins: Vec<(u64, u64)>,
     /// Per topological position: the pairs whose fault's fanout cone holds
@@ -160,7 +159,7 @@ impl Podem {
     /// Panics if the combinational part of the netlist is cyclic.
     #[must_use]
     pub fn new(netlist: &Netlist, backtrack_limit: usize) -> Podem {
-        let mut kernel = SimKernel::new(netlist);
+        let kernel = SimKernel::new(netlist);
         let mut input_position = vec![None; netlist.net_count()];
         for (i, &net) in kernel.inputs().iter().enumerate() {
             input_position[net.index()] = Some(i);
@@ -169,9 +168,6 @@ impl Podem {
         observation.extend(netlist.pseudo_outputs());
         observation.sort_unstable();
         observation.dedup();
-        let all_x = vec![PackedWord::splat(Logic::X); kernel.inputs().len()];
-        let unassigned = kernel.evaluate(netlist, &all_x).to_vec();
-        let worklist = kernel.make_worklist();
         let idle = Pair {
             index: 0,
             fault: Fault {
@@ -188,9 +184,7 @@ impl Podem {
             input_position,
             observation,
             backtrack_limit,
-            values: unassigned.clone(),
-            unassigned,
-            worklist,
+            values: vec![PackedWord::splat(Logic::X); netlist.net_count()],
             pins: vec![(0, 0); netlist.net_count()],
             cone_pairs: vec![0; netlist.gate_count()],
             pairs: vec![idle; PAIRS],
@@ -228,8 +222,8 @@ impl Podem {
         }
     }
 
-    /// Puts fault `faults[index]` into the idle `pair`: pins its site,
-    /// marks the site's readers and records its fanout cone.
+    /// Puts fault `faults[index]` into the idle `pair`: pins its site and
+    /// records its fanout cone.
     fn launch(&mut self, netlist: &Netlist, pair: usize, index: usize, fault: Fault) {
         let inputs = self.kernel.inputs().len();
         let state = &mut self.pairs[pair];
@@ -247,12 +241,8 @@ impl Podem {
         } else {
             pins.0 |= lane;
         }
-        let site = self.values[fault.net.index()];
-        let pinned = pin(site, *pins);
-        if pinned != site {
-            self.values[fault.net.index()] = pinned;
-            self.kernel.mark_net_changed(fault.net, &mut self.worklist);
-        }
+        let site = &mut self.values[fault.net.index()];
+        *site = pin(*site, *pins);
 
         let bit = 1u32 << pair;
         state.cone.clear();
@@ -275,7 +265,7 @@ impl Podem {
     }
 
     /// Frees `pairs`: unpins their sites, forgets their cones and resets
-    /// their lanes of every net to the unassigned state.
+    /// their lanes of every input to X.
     fn release(&mut self, pairs: u32) {
         if pairs == 0 {
             return;
@@ -292,13 +282,11 @@ impl Podem {
             }
             lanes |= PAIR0 << pair;
         }
-        // The unassigned state is settled and unpinned, so the reset lanes
-        // stay settled; pending marks of other pairs are unaffected.
-        for (word, reset) in self.values.iter_mut().zip(&self.unassigned) {
-            *word = PackedWord::from_planes(
-                (word.can0() & !lanes) | (reset.can0() & lanes),
-                (word.can1() & !lanes) | (reset.can1() & lanes),
-            );
+        // Every step starts with a sweep, which recomputes each driven net
+        // from the inputs and pins, so only the inputs need resetting.
+        for &net in self.kernel.inputs() {
+            let word = &mut self.values[net.index()];
+            *word = PackedWord::from_planes(word.can0() | lanes, word.can1() | lanes);
         }
         self.active &= !pairs;
     }
@@ -375,8 +363,7 @@ impl Podem {
     }
 
     /// Writes one combinational input in both machines of `pair` (the
-    /// faulty lane stays pinned if the input is a fault site) and marks
-    /// its readers dirty.
+    /// faulty lane stays pinned if the input is a fault site).
     fn assign(&mut self, pair: usize, input_index: usize, value: Logic) {
         self.pairs[pair].assignment[input_index] = value;
         let net = self.kernel.inputs()[input_index];
@@ -387,27 +374,20 @@ impl Podem {
             Logic::X => (lanes, lanes),
         };
         let old = self.values[net.index()];
-        let word = pin(
+        self.values[net.index()] = pin(
             PackedWord::from_planes((old.can0() & !lanes) | can0, (old.can1() & !lanes) | can1),
             self.pins[net.index()],
         );
-        if word != old {
-            self.values[net.index()] = word;
-            self.kernel.mark_net_changed(net, &mut self.worklist);
-        }
     }
 
-    /// Forward three-valued implication of every pair: re-settles the
-    /// fanout cones of the nets written since the last call.
+    /// Forward three-valued implication of every pair: one pinned sweep
+    /// over every gate.
     fn settle(&mut self, netlist: &Netlist) {
         let pins = &self.pins;
-        self.kernel.propagate_pinned(
-            netlist,
-            &mut self.values,
-            &mut self.worklist,
-            |net, word| pin(word, pins[net.index()]),
-            |_, _, _| {},
-        );
+        self.kernel
+            .propagate_pinned(netlist, &mut self.values, |net, word| {
+                pin(word, pins[net.index()])
+            });
     }
 
     /// Picks the next objective `(net, value)` of `pair`, given its
@@ -599,8 +579,8 @@ impl FaultSearch<'_> {
     }
 }
 
-/// The full-sweep PODEM this module replaced, kept verbatim as the
-/// reference the event-driven generator is pinned against: two scalar
+/// The one-fault scalar PODEM this module replaced, kept verbatim as the
+/// reference the fault-parallel generator is pinned against: two scalar
 /// machines re-implied from all-X over the whole topological order after
 /// every decision and backtrack, and a D-frontier scan over every gate.
 #[cfg(test)]

@@ -2,8 +2,10 @@
 //! with the default profile and s1494 with the `fast()` profile, next to
 //! the whole two-phase flow on the same circuits. The `podem_*` rows search
 //! every fault the flow's random phase leaves undetected, asking for each
-//! outcome in fault-list order as the flow does. Snapshot:
-//! `BENCH_atpg.json`.
+//! outcome in fault-list order as the flow does. The `flow_budget32_*` row
+//! is `table1_capped`'s shape: the budgeted flow on half-size s5378 with
+//! the `fast()` profile, stopping at 32 patterns, where few fault pairs are
+//! active per PODEM step. Snapshot: `BENCH_atpg.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -76,6 +78,19 @@ fn atpg(c: &mut Criterion) {
             b.iter(|| flow.run(&netlist));
         });
     }
+
+    let netlist = CircuitFamily::iscas89_like("s5378")
+        .expect("known circuit")
+        .scaled(0.5)
+        .generate(1);
+    let flow = AtpgFlow::new(AtpgConfig {
+        threads: 1,
+        ..AtpgConfig::fast()
+    });
+    group.sample_size(50);
+    group.bench_function("flow_budget32_s5378x0.5_fast", |b| {
+        b.iter(|| flow.run_with_budget(&netlist, Some(32)));
+    });
     group.finish();
 }
 

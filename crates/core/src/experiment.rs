@@ -174,12 +174,6 @@ impl ResultCacheHandle {
         self.cache.as_deref()
     }
 
-    /// `true` when a cache is attached.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// Rows served from the cache (memory or disk tier) through this
     /// handle and its clones.
     #[must_use]
@@ -1208,6 +1202,32 @@ mod tests {
         assert!(error.to_string().contains("lint preflight rejected"));
         // `lint_preflight` is the same check, callable on its own.
         assert_eq!(experiment.lint_preflight(&n), Err(error));
+    }
+
+    /// A gate one pin wider than the fanin bound is refused by the
+    /// preflight with SPL006, before the leakage estimator would size a
+    /// `2^fanin` table for it.
+    #[test]
+    fn try_run_refuses_a_gate_over_the_fanin_bound_with_spl006() {
+        use scanpower_lint::LintCode;
+        use scanpower_netlist::GateKind;
+        let mut n = Netlist::new("wide");
+        let inputs: Vec<_> = (0..=crate::LEAKAGE_PIN_LIMIT)
+            .map(|pin| n.add_input(&format!("i{pin}")))
+            .collect();
+        assert_eq!(inputs.len(), 17);
+        let g = n.add_gate(GateKind::And, &inputs, "wide");
+        let q = n.add_dff(g.output, "q");
+        n.mark_output(q);
+        let error = CircuitExperiment::new(ExperimentOptions::fast())
+            .try_run(&n, None)
+            .expect_err("preflight must refuse");
+        let ExperimentError::Lint(report) = &error else {
+            panic!("expected a lint error, got {error:?}");
+        };
+        let diag = report.with_code(LintCode::OverPinLimit).next().unwrap();
+        assert_eq!(diag.code.code(), "SPL006");
+        assert!(report.has_errors());
     }
 
     /// A circuit without scan cells is a typed refusal, and the panicking

@@ -54,5 +54,7 @@ pub use error::{ExperimentError, ExperimentResult};
 pub use justify::{Directive, Justifier, JustifyOutcome};
 pub use pattern::{ControlPattern, ControlPatternFinder, PatternStats};
 pub use proposed::{ProposedMethod, ProposedOptions, ProposedResult};
+/// The widest gate the experiment preflight admits (SPL006 above it).
+pub use scanpower_lint::LEAKAGE_PIN_LIMIT;
 pub use structure::ScanStructure;
 pub use worklist::TransitionWorklist;

@@ -91,13 +91,6 @@ impl ProposedMethod {
         }
     }
 
-    /// Overrides the leakage library.
-    #[must_use]
-    pub fn with_library(mut self, library: LeakageLibrary) -> ProposedMethod {
-        self.library = library;
-        self
-    }
-
     /// The options of this flow.
     #[must_use]
     pub fn options(&self) -> &ProposedOptions {

@@ -193,30 +193,6 @@ impl LintFacts {
         get_bit(&self.static_gates, gate.index())
     }
 
-    /// Packed bitset of provably-zero nets.
-    #[must_use]
-    pub fn const0_words(&self) -> &[u64] {
-        &self.const0
-    }
-
-    /// Packed bitset of provably-one nets.
-    #[must_use]
-    pub fn const1_words(&self) -> &[u64] {
-        &self.const1
-    }
-
-    /// Packed bitset of X-capable nets.
-    #[must_use]
-    pub fn maybe_x_words(&self) -> &[u64] {
-        &self.maybe_x
-    }
-
-    /// Packed bitset of static gates.
-    #[must_use]
-    pub fn static_gate_words(&self) -> &[u64] {
-        &self.static_gates
-    }
-
     /// Number of provably-constant nets.
     #[must_use]
     pub fn constant_net_count(&self) -> usize {

@@ -53,7 +53,8 @@ pub enum LintCode {
     DanglingGate,
     /// `SPL005`: the combinational part contains a cycle.
     CombinationalLoop,
-    /// `SPL006`: a gate exceeds the 31-pin leakage-model limit.
+    /// `SPL006`: a gate exceeds the 16-pin leakage-model limit
+    /// ([`LEAKAGE_PIN_LIMIT`](crate::LEAKAGE_PIN_LIMIT)).
     OverPinLimit,
     /// `SPL007`: a scan cell is wired suspiciously (unused Q, D tied to own Q).
     ScanChainIntegrity,

@@ -9,12 +9,15 @@ use scanpower_netlist::{GateId, GateKind, NetDriver, NetId, Netlist};
 
 use crate::diagnostics::{Diagnostic, LintCode, LintReport};
 
-/// The leakage model's workspace-wide pin cap: `LeakageEstimator` sizes its
-/// per-gate unknown-pin masks for at most 31 pins, so any gate above this
-/// fanin would panic inside the power observer. Mirrored (not imported) here
-/// because `scanpower-power` depends on this crate, not the other way round;
-/// a cross-crate test in `scanpower-power` pins the two constants together.
-pub const LEAKAGE_PIN_LIMIT: usize = 31;
+/// The workspace's one fanin bound: the widest gate (input pins) a circuit
+/// may contain. `LeakageEstimator` builds a `2^fanin`-entry table per
+/// distinct gate kind and fanin, so at this bound a table is at most
+/// 512 KiB, where a 31-pin gate (the most its pin buffers hold) would ask
+/// for 16 GiB. The experiment preflight refuses wider gates with SPL006,
+/// and the job service checks the same constant at submit. A test in
+/// `scanpower-power` (which depends on this crate, not the other way round)
+/// keeps it within the model's 31-pin cap.
+pub const LEAKAGE_PIN_LIMIT: usize = 16;
 
 /// SPL001 / SPL002: nets that are read but never driven, and nets that are
 /// driven but never read.
@@ -118,7 +121,7 @@ pub(crate) fn check_cycles(netlist: &Netlist, report: &mut LintReport) -> bool {
     !cycles.is_empty()
 }
 
-/// SPL006: gates whose fanin exceeds the leakage model's 31-pin cap.
+/// SPL006: gates whose fanin exceeds [`LEAKAGE_PIN_LIMIT`].
 pub(crate) fn check_pin_limit(netlist: &Netlist, report: &mut LintReport) {
     for gate_id in netlist.gate_ids() {
         let gate = netlist.gate(gate_id);

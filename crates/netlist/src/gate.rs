@@ -192,12 +192,6 @@ impl Gate {
     pub fn fanin(&self) -> usize {
         self.inputs.len()
     }
-
-    /// Returns the pin index of `net` among this gate's inputs, if connected.
-    #[must_use]
-    pub fn pin_of(&self, net: NetId) -> Option<usize> {
-        self.inputs.iter().position(|&n| n == net)
-    }
 }
 
 /// Result of adding a gate to a netlist: the new gate id and its output net.

@@ -34,12 +34,6 @@ impl LeakageLibrary {
         }
     }
 
-    /// Builds a library from explicit model parameters.
-    #[must_use]
-    pub fn with_params(params: LeakageParams, supply: f64) -> LeakageLibrary {
-        LeakageLibrary { params, supply }
-    }
-
     /// Supply voltage used to convert currents to power (volts).
     #[must_use]
     pub fn supply(&self) -> f64 {
@@ -320,14 +314,6 @@ impl LeakageEstimator {
             .gate_ids()
             .map(|gate| self.gate_leakage(netlist, gate, values))
             .sum()
-    }
-
-    /// Total static power (µW) of the circuit in the given state
-    /// (Equation (5): `P_sub = Σ I_sub,i · V_DD`).
-    #[must_use]
-    pub fn circuit_power_uw(&self, netlist: &Netlist, values: &[Logic]) -> f64 {
-        self.library
-            .current_to_power_uw(self.circuit_leakage(netlist, values))
     }
 }
 
@@ -1112,13 +1098,23 @@ mod tests {
         }
     }
 
-    /// The lint-facts pin limit must match the leakage model's actual pin
+    /// Lint's pin limit must stay within the leakage model's actual pin
     /// cap (the 31-slot pin buffer of `gate_leakage_lanes_into` and the
-    /// `gate_table` fanin assert); the constant is mirrored, not imported,
-    /// because the dependency runs lint -> power.
+    /// `gate_table` fanin assert), so every gate the preflight admits can
+    /// be estimated: a gate at the limit builds its table and has a
+    /// leakage in an all-X state.
     #[test]
     fn lint_pin_limit_matches_the_leakage_model() {
-        assert_eq!(scanpower_lint::LEAKAGE_PIN_LIMIT, 31);
+        const { assert!(scanpower_lint::LEAKAGE_PIN_LIMIT <= 31) };
+        let mut n = Netlist::new("widest");
+        let inputs: Vec<_> = (0..scanpower_lint::LEAKAGE_PIN_LIMIT)
+            .map(|pin| n.add_input(&format!("i{pin}")))
+            .collect();
+        let gate = n.add_gate(GateKind::Nand, &inputs, "widest");
+        n.mark_output(gate.output);
+        let estimator = LeakageEstimator::new(&n, &LeakageLibrary::cmos45());
+        let all_x = vec![Logic::X; n.net_count()];
+        assert!(estimator.circuit_leakage(&n, &all_x) > 0.0);
     }
 
     /// A facts-carrying observer must reproduce the plain observer (and the

@@ -44,6 +44,7 @@ use std::thread::JoinHandle;
 use scanpower_cache::ResultCache;
 use scanpower_core::error::ExperimentError;
 use scanpower_core::experiment::{run_netlists_streamed, ExperimentOptions, ResultCacheHandle};
+use scanpower_core::LEAKAGE_PIN_LIMIT;
 use scanpower_netlist::Netlist;
 use scanpower_sim::failpoint;
 use scanpower_sim::CancelFlag;
@@ -57,13 +58,6 @@ use crate::transport::{Connection, Transport};
 /// or cancel of it answers [`JobState::Unknown`]; queued and running jobs
 /// are never dropped.
 pub const FINISHED_JOB_RETENTION: usize = 256;
-
-/// The widest gate (input pins) a submitted circuit may contain. The
-/// static-power estimator builds a `2^fanin`-entry table per distinct gate
-/// kind and fanin, so one 31-pin gate (the most lint admits) would ask for
-/// 16 GiB; at this cap a table is at most 512 KiB. Checked at submit,
-/// before the job is queued.
-pub const MAX_GATE_FANIN: usize = 16;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -165,14 +159,6 @@ impl Server {
     #[must_use]
     pub fn cache(&self) -> &Arc<ResultCache> {
         &self.inner.cache
-    }
-
-    /// Runs one connection's session loop on the calling thread until the
-    /// peer closes (or breaks framing). Every decoded request frame gets
-    /// exactly one response frame; an undecodable payload gets a typed
-    /// [`Response::Error`] and the session continues.
-    pub fn handle_connection<C: Connection>(&self, mut conn: C) {
-        session(&self.inner, &mut conn);
     }
 
     /// Spawns an accept loop over `transport`; each connection gets its
@@ -471,9 +457,9 @@ impl ServerInner {
 /// The job's gate ceiling (`max_gates`) is checked before a family is
 /// generated — generation emits exactly `spec.gates()` gates, so the check
 /// is exact and a refused job never pays for a large generation — and
-/// before a decoded snapshot is queued. The server-wide fanin cap
-/// ([`MAX_GATE_FANIN`]) is checked on every resolved netlist before it is
-/// queued.
+/// before a decoded snapshot is queued. The fanin bound the experiment
+/// preflight enforces ([`LEAKAGE_PIN_LIMIT`]) is checked on every resolved
+/// netlist before it is queued.
 fn resolve_circuits(
     sources: &[CircuitSource],
     max_gates: Option<usize>,
@@ -520,7 +506,7 @@ fn resolve_circuits(
             .map(|gate| gate.inputs.len())
             .max()
             .unwrap_or(0);
-        check(index, netlist.name(), "fanin", MAX_GATE_FANIN, fanin)?;
+        check(index, netlist.name(), "fanin", LEAKAGE_PIN_LIMIT, fanin)?;
         netlist
             .validate()
             .map_err(|error| format!("circuit {index}: invalid netlist: {error}"))?;
@@ -805,8 +791,8 @@ mod tests {
         ));
     }
 
-    /// The server-wide fanin cap refuses a snapshot whose widest gate has
-    /// more than [`MAX_GATE_FANIN`] pins at submit, with a typed resource
+    /// The fanin bound refuses a snapshot whose widest gate has
+    /// more than [`LEAKAGE_PIN_LIMIT`] pins at submit, with a typed resource
     /// refusal, and queues nothing; a gate at the cap is accepted.
     #[test]
     fn fanin_cap_refuses_wide_gates_before_queueing() {
@@ -833,20 +819,20 @@ mod tests {
             })))
         };
 
-        let Response::Error { message } = submit(snapshot(MAX_GATE_FANIN + 1)) else {
+        let Response::Error { message } = submit(snapshot(LEAKAGE_PIN_LIMIT + 1)) else {
             panic!("a gate over the fanin cap must be refused at submit");
         };
         let refusal = ExperimentError::ResourceLimit {
             circuit: "wide17".into(),
             resource: "fanin",
-            limit: MAX_GATE_FANIN,
-            actual: MAX_GATE_FANIN + 1,
+            limit: LEAKAGE_PIN_LIMIT,
+            actual: LEAKAGE_PIN_LIMIT + 1,
         };
         assert_eq!(message, format!("circuit 0: {refusal}"));
         assert!(!server.run_pending_job(), "nothing was queued");
 
         assert!(matches!(
-            submit(snapshot(MAX_GATE_FANIN)),
+            submit(snapshot(LEAKAGE_PIN_LIMIT)),
             Response::JobAccepted { .. }
         ));
     }

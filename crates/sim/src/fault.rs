@@ -80,7 +80,6 @@ pub struct BlockDetections {
 #[derive(Debug, Clone)]
 pub struct FaultSim {
     kernel: SimKernel<PackedWord>,
-    observation: Vec<NetId>,
     is_observation: Vec<bool>,
 }
 
@@ -92,26 +91,19 @@ impl FaultSim {
     /// Panics if the combinational part is cyclic.
     #[must_use]
     pub fn new(netlist: &Netlist) -> FaultSim {
-        let mut observation = netlist.primary_outputs().to_vec();
-        observation.extend(netlist.pseudo_outputs());
-        observation.sort_unstable();
-        observation.dedup();
         let mut is_observation = vec![false; netlist.net_count()];
-        for net in &observation {
+        for net in netlist
+            .primary_outputs()
+            .iter()
+            .copied()
+            .chain(netlist.pseudo_outputs())
+        {
             is_observation[net.index()] = true;
         }
         FaultSim {
             kernel: SimKernel::new(netlist),
-            observation,
             is_observation,
         }
-    }
-
-    /// Nets observed for fault detection (primary outputs and flip-flop D
-    /// inputs).
-    #[must_use]
-    pub fn observation_points(&self) -> &[NetId] {
-        &self.observation
     }
 
     /// Simulates up to 64 patterns in one kernel pass and returns the packed
@@ -366,7 +358,10 @@ mod tests {
             }
         }
         let mut difference = 0u64;
-        for &obs in &sim.observation {
+        for obs in netlist
+            .net_ids()
+            .filter(|net| sim.is_observation[net.index()])
+        {
             difference |= (good[obs.index()].ones() ^ faulty[obs.index()].ones()) & active_mask;
         }
         for net in touched {

@@ -696,9 +696,8 @@ impl<W: LogicWord> SimKernel<W> {
     /// per-net value buffer. Source nets are left untouched; every driven
     /// net is overwritten. This is the full-sweep primitive behind every
     /// simulator in the workspace; callers that seed arbitrary net values
-    /// (the fault simulator's fault-free pass) drive it directly; the
-    /// event-driven [`SimKernel::propagate_pinned`] re-settles a buffer to
-    /// exactly what this sweep would produce.
+    /// (the fault simulator's fault-free pass) drive it directly. It is
+    /// [`SimKernel::propagate_pinned`] with no pin.
     ///
     /// # Panics
     ///
@@ -707,16 +706,40 @@ impl<W: LogicWord> SimKernel<W> {
     /// built for (rebuild the kernel after structural edits such as MUX
     /// insertion).
     pub fn propagate(&self, netlist: &Netlist, values: &mut [W]) {
+        self.propagate_pinned(netlist, values, |_, word| word);
+    }
+
+    /// [`SimKernel::propagate`] with an output hook: every gate's output
+    /// word passes through `pin(net, word)` before it is stored, so a
+    /// caller can hold chosen lanes of chosen nets at fixed values — PODEM
+    /// pins the faulty-machine lanes of its fault sites this way. One
+    /// topological sweep, so the buffer is settled in the pinned sense on
+    /// return whatever it held before. A pinned source net must be written
+    /// pinned by the caller, since no gate drives it.
+    ///
+    /// # Panics
+    ///
+    /// As [`SimKernel::propagate`].
+    pub fn propagate_pinned<P>(&self, netlist: &Netlist, values: &mut [W], mut pin: P)
+    where
+        P: FnMut(NetId, W) -> W,
+    {
+        self.check_buffer(netlist, values);
+        for &gate_id in &self.order {
+            let gate = netlist.gate(gate_id);
+            values[gate.output.index()] =
+                pin(gate.output, eval_gate_at(gate.kind, &gate.inputs, values));
+        }
+    }
+
+    /// The panics shared by every propagation entry point.
+    fn check_buffer(&self, netlist: &Netlist, values: &[W]) {
         assert!(values.len() >= self.net_count, "value buffer too small");
         assert!(
             netlist.net_count() == self.net_count && netlist.gate_count() == self.position.len(),
             "netlist does not match the one the kernel was built for; \
              rebuild the kernel after structural edits"
         );
-        for &gate_id in &self.order {
-            let gate = netlist.gate(gate_id);
-            values[gate.output.index()] = eval_gate_at(gate.kind, &gate.inputs, values);
-        }
     }
 
     /// Creates an empty [`DirtyWorklist`] sized for this kernel. Reuse the
@@ -758,13 +781,14 @@ impl<W: LogicWord> SimKernel<W> {
         }
     }
 
-    /// Event-driven (incremental) propagation: re-evaluates **only** the
-    /// gates marked dirty in `worklist` (seeded with
-    /// [`SimKernel::mark_net_changed`]), level by level, marking the readers
-    /// of every output that actually changed. `on_change(net, old, new)` is
-    /// invoked once for every driven net whose value changed — the hook the
-    /// packed scan replay uses to count toggles and collect the changed-net
-    /// list for its observer.
+    /// Event-driven (incremental) propagation, the kernel's one event-driven
+    /// loop: re-evaluates **only** the gates marked dirty in `worklist`
+    /// (seeded with [`SimKernel::mark_net_changed`]), level by level,
+    /// marking the readers of every output that actually changed.
+    /// `on_change(net, old, new)` is invoked once for every driven net whose
+    /// value changed — the hook the packed scan replay uses to count toggles
+    /// and collect the changed-net list for its observer. The scan replay,
+    /// the fault simulator and the justifier settle through it.
     ///
     /// Starting from a settled value buffer (one a full
     /// [`SimKernel::propagate`] pass would leave unchanged), the buffer is
@@ -776,8 +800,6 @@ impl<W: LogicWord> SimKernel<W> {
     ///
     /// The worklist is drained and ready for the next cycle on return.
     ///
-    /// This is [`SimKernel::propagate_pinned`] with no pin.
-    ///
     /// # Panics
     ///
     /// Panics if `values` is shorter than the number of nets or `netlist`
@@ -788,43 +810,11 @@ impl<W: LogicWord> SimKernel<W> {
         netlist: &Netlist,
         values: &mut [W],
         worklist: &mut DirtyWorklist,
-        on_change: F,
-    ) where
-        F: FnMut(NetId, W, W),
-    {
-        self.propagate_pinned(netlist, values, worklist, |_, word| word, on_change);
-    }
-
-    /// The kernel's one event-driven propagation loop:
-    /// [`SimKernel::propagate_from`] with an output hook. Every re-evaluated
-    /// gate's output word passes through `pin(net, word)` before it is
-    /// compared and stored, so a caller can hold chosen lanes of chosen nets
-    /// at fixed values — PODEM pins the faulty-machine lanes of its fault
-    /// sites this way. The buffer is settled on return in the pinned sense:
-    /// it equals a full topological sweep that applies the same `pin` to
-    /// every gate output. A pinned source net must be written pinned by the
-    /// caller, since no gate drives it.
-    ///
-    /// # Panics
-    ///
-    /// As [`SimKernel::propagate_from`].
-    pub fn propagate_pinned<P, F>(
-        &self,
-        netlist: &Netlist,
-        values: &mut [W],
-        worklist: &mut DirtyWorklist,
-        mut pin: P,
         mut on_change: F,
     ) where
-        P: FnMut(NetId, W) -> W,
         F: FnMut(NetId, W, W),
     {
-        assert!(values.len() >= self.net_count, "value buffer too small");
-        assert!(
-            netlist.net_count() == self.net_count && netlist.gate_count() == self.position.len(),
-            "netlist does not match the one the kernel was built for; \
-             rebuild the kernel after structural edits"
-        );
+        self.check_buffer(netlist, values);
         debug_assert_eq!(
             worklist.stamp.len(),
             self.position.len(),
@@ -839,7 +829,7 @@ impl<W: LogicWord> SimKernel<W> {
             let mut bucket = std::mem::take(&mut worklist.buckets[level]);
             for &gate_index in &bucket {
                 let gate = netlist.gate(GateId::from_index(gate_index as usize));
-                let new = pin(gate.output, eval_gate_at(gate.kind, &gate.inputs, values));
+                let new = eval_gate_at(gate.kind, &gate.inputs, values);
                 let old = values[gate.output.index()];
                 if new != old {
                     values[gate.output.index()] = new;
@@ -1288,14 +1278,17 @@ mod tests {
         assert_eq!(values[g.output.index()], Logic::One);
     }
 
-    /// Pinned propagation must settle to the full sweep that applies the
-    /// same pin to every gate output, and the pinned lane must never move —
-    /// for a pinned gate output and for a pinned combinational input.
+    /// The pinned sweep must agree, lane by lane, with scalar evaluation of
+    /// each lane's inputs, where a pinned lane is the scalar circuit with
+    /// the site net forced to its stuck value — for a pinned gate output
+    /// and for a pinned combinational input. The sweep must settle from an
+    /// arbitrary buffer, and sweeping a settled buffer must change nothing.
     #[test]
-    fn propagate_pinned_matches_pinned_full_sweep() {
+    fn propagate_pinned_matches_scalar_kernel_lane_by_lane() {
         let netlist = bench::parse(bench::S27_BENCH, "s27").unwrap();
         let kernel = SimKernel::<PackedWord>::new(&netlist);
-        let mut worklist = kernel.make_worklist();
+        let mut scalar = SimKernel::<Logic>::new(&netlist);
+        let mut worklist = scalar.make_worklist();
         let mut seed = 0x0f1e_2d3c_4b5a_6978u64;
         let mut next = move || {
             seed ^= seed << 13;
@@ -1305,6 +1298,7 @@ mod tests {
         };
         let mut random_word =
             move || PackedWord::from_planes(next() | u64::MAX << 32, next() | u64::MAX >> 32);
+        let pinned_lanes = [1usize, 33, 62];
         let middle_gate = kernel.order()[kernel.order().len() / 2];
         let sites = [
             (netlist.gate(middle_gate).output, Logic::Zero),
@@ -1313,54 +1307,45 @@ mod tests {
         for (site, stuck) in sites {
             let pin = |net: NetId, mut word: PackedWord| {
                 if net == site {
-                    word.set_lane(1, stuck);
+                    for &lane in &pinned_lanes {
+                        word.set_lane(lane, stuck);
+                    }
                 }
                 word
             };
-            let full_sweep = |inputs: &[PackedWord]| {
-                let mut values = vec![PackedWord::splat(Logic::X); netlist.net_count()];
-                for (&net, &word) in kernel.inputs().iter().zip(inputs) {
+            for round in 0..20 {
+                let inputs: Vec<PackedWord> =
+                    kernel.inputs().iter().map(|_| random_word()).collect();
+                // Driven nets start from garbage; sources are written pinned.
+                let mut values: Vec<PackedWord> =
+                    (0..netlist.net_count()).map(|_| random_word()).collect();
+                for (&net, &word) in kernel.inputs().iter().zip(&inputs) {
                     values[net.index()] = pin(net, word);
                 }
-                for &gate_id in kernel.order() {
-                    let gate = netlist.gate(gate_id);
-                    values[gate.output.index()] =
-                        pin(gate.output, eval_gate_at(gate.kind, &gate.inputs, &values));
-                }
-                values
-            };
-            let mut inputs: Vec<PackedWord> =
-                kernel.inputs().iter().map(|_| random_word()).collect();
-            let mut values = full_sweep(&inputs);
-            for round in 0..50 {
-                for (slot, &net) in inputs.iter_mut().zip(kernel.inputs()) {
-                    if random_word().can0() % 3 == 0 {
-                        *slot = random_word();
-                        let word = pin(net, *slot);
-                        if values[net.index()] != word {
-                            values[net.index()] = word;
-                            kernel.mark_net_changed(net, &mut worklist);
-                        }
+                kernel.propagate_pinned(&netlist, &mut values, pin);
+
+                for lane in 0..64 {
+                    let lane_inputs: Vec<Logic> =
+                        inputs.iter().map(|word| word.lane(lane)).collect();
+                    let mut expected = scalar.evaluate(&netlist, &lane_inputs).to_vec();
+                    if pinned_lanes.contains(&lane) && expected[site.index()] != stuck {
+                        expected[site.index()] = stuck;
+                        scalar.mark_net_changed(site, &mut worklist);
+                        scalar.propagate_from(&netlist, &mut expected, &mut worklist, |_, _, _| {});
+                    }
+                    for net in netlist.net_ids() {
+                        assert_eq!(
+                            values[net.index()].lane(lane),
+                            expected[net.index()],
+                            "round {round}: net {} lane {lane}",
+                            netlist.net(net).name
+                        );
                     }
                 }
-                kernel.propagate_pinned(
-                    &netlist,
-                    &mut values,
-                    &mut worklist,
-                    pin,
-                    |net, old, new| {
-                        if net == site {
-                            assert_eq!(
-                                old.lane(1),
-                                new.lane(1),
-                                "round {round}: pinned lane moved"
-                            );
-                        }
-                    },
-                );
-                assert!(worklist.is_empty(), "round {round}: worklist must drain");
-                assert_eq!(values, full_sweep(&inputs), "round {round}: diverged");
-                assert_eq!(values[site.index()].lane(1), stuck, "round {round}");
+
+                let settled = values.clone();
+                kernel.propagate_pinned(&netlist, &mut values, pin);
+                assert_eq!(values, settled, "round {round}: a settled sweep moved");
             }
         }
     }

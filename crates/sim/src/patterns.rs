@@ -28,12 +28,6 @@ pub fn random_logic_patterns(width: usize, count: usize, seed: u64) -> Vec<Vec<L
         .collect()
 }
 
-/// Converts a boolean pattern to a [`Logic`] pattern.
-#[must_use]
-pub fn to_logic(pattern: &[bool]) -> Vec<Logic> {
-    pattern.iter().copied().map(Logic::from_bool).collect()
-}
-
 /// Fills the `X` positions of `pattern` with random values, leaving the
 /// specified positions untouched. Used when turning a partially-specified
 /// controlled-input pattern into concrete candidates for the leakage search.

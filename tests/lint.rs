@@ -71,7 +71,11 @@ fn over_fanin_gate_reports_spl006() {
         .unwrap();
     assert_eq!(diag.severity, Severity::Error);
     assert_eq!(diag.code.code(), "SPL006");
-    assert!(diag.message.contains("32"), "{}", diag.message);
+    assert!(
+        diag.message.contains(&format!("{width} inputs")),
+        "{}",
+        diag.message
+    );
 }
 
 #[test]

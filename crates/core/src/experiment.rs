@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use scanpower_atpg::{AtpgConfig, AtpgFlow};
 use scanpower_cache::{CacheKey, KeyBuilder, ResultCache};
-use scanpower_lint::{lint_netlist, LintFacts};
+use scanpower_lint::lint_netlist;
 use scanpower_netlist::generator::CircuitFamily;
 use scanpower_netlist::Netlist;
 use scanpower_power::{DynamicPower, LeakageEstimator, LeakageLibrary, PackedShiftLeakage};
@@ -365,13 +365,13 @@ impl CircuitExperiment {
     /// so only what the cycle's changed nets reach is re-evaluated and
     /// re-gathered. The static-power observer ([`PackedShiftLeakage`])
     /// gathers per-gate leakage lane-parallel from the estimator's shared
-    /// ternary tables, skips the gates [`LintFacts::analyze_shift`] settles
-    /// under this scheme's forcing, and accumulates each block's lane
-    /// leakages in the scalar pattern-major order — so stats *and* power
-    /// numbers are bit-identical to the scalar pattern-at-a-time replay
+    /// ternary tables, re-deriving only the gates that read a changed net,
+    /// and accumulates each block's lane leakages in the scalar
+    /// pattern-major order — so stats *and* power numbers are
+    /// bit-identical to the scalar pattern-at-a-time replay
     /// ([`ScanShiftSim`](scanpower_sim::scan::ScanShiftSim)). The suite's
     /// `replay_identity` differential test pins that against the scalar
-    /// replay, with and without the facts skip.
+    /// replay and the packed replay composed from the sim and power crates.
     ///
     /// # Errors
     ///
@@ -388,9 +388,8 @@ impl CircuitExperiment {
 
     /// The cancellable scheme replay behind the public entry point: one
     /// packed pass per 64 patterns, with the lane-aware static-power
-    /// observer riding the per-cycle delta and skipping the gates the
-    /// ternary shift analysis settles. The replay polls `cancel` once per
-    /// block ([`PackedScanShiftSim::run`]).
+    /// observer riding the per-cycle delta. The replay polls `cancel` once
+    /// per block ([`PackedScanShiftSim::run`]).
     fn scheme_stats(
         &self,
         netlist: &Netlist,
@@ -399,8 +398,7 @@ impl CircuitExperiment {
         cancel: Option<&CancelFlag>,
     ) -> ExperimentResult<(SchemePower, ShiftStats)> {
         let estimator = LeakageEstimator::new(netlist, &self.library);
-        let facts = LintFacts::analyze_shift(netlist, config);
-        let mut leakage = PackedShiftLeakage::with_facts(netlist, &estimator, &facts);
+        let mut leakage = PackedShiftLeakage::new(netlist, &estimator);
         let stats = PackedScanShiftSim::new(netlist)
             .run(netlist, patterns, config, cancel, |cycle| {
                 leakage.observe_cycle(cycle)

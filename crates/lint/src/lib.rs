@@ -1,17 +1,15 @@
 //! Static analysis for scan-power netlists.
 //!
-//! `scanpower_lint` is the safety front door for untrusted ISCAS89 netlists
-//! and a performance lever for the packed replay. It runs two families of
-//! passes over a [`Netlist`]:
+//! `scanpower_lint` is the safety front door for untrusted ISCAS89 netlists.
+//! It runs two families of passes over a [`Netlist`]:
 //!
 //! * **Structural checks** — undriven/floating nets, dangling gates,
 //!   combinational loops (reported with the full cycle path), gates over the
-//!   31-pin leakage limit, scan-chain integrity and duplicate gates — each
-//!   with a stable `SPL0xx` code, a severity and net/gate locations.
+//!   leakage model's pin limit ([`LEAKAGE_PIN_LIMIT`]), scan-chain integrity
+//!   and duplicate gates — each with a stable `SPL0xx` code, a severity and
+//!   net/gate locations.
 //! * **Dataflow analyses** — ternary constant propagation and
-//!   X-reachability — exported as [`LintFacts`] bitsets that
-//!   `PackedShiftLeakage` consumes to skip provably-static gates in its
-//!   per-lane gather without changing a single bit of the result.
+//!   X-reachability — reported as notes (constant nets, X-capable nets).
 //!
 //! # Examples
 //!
@@ -39,12 +37,13 @@ mod diagnostics;
 mod front;
 mod structural;
 
-pub use dataflow::LintFacts;
 pub use diagnostics::{Diagnostic, GateRef, LintCode, LintReport, NetRef, Severity};
 pub use front::{lint_bench, BenchLint};
 pub use structural::LEAKAGE_PIN_LIMIT;
 
 use scanpower_netlist::Netlist;
+
+use dataflow::LintFacts;
 
 /// Runs every lint pass over an already-built netlist.
 ///
@@ -54,13 +53,6 @@ use scanpower_netlist::Netlist;
 /// acyclic — the dataflow notes (constant nets, X-reachability summary).
 #[must_use]
 pub fn lint_netlist(netlist: &Netlist) -> LintReport {
-    lint_netlist_with_facts(netlist).0
-}
-
-/// Like [`lint_netlist`], additionally returning the [`LintFacts`] when the
-/// dataflow analyses could run (the netlist is combinationally acyclic).
-#[must_use]
-pub fn lint_netlist_with_facts(netlist: &Netlist) -> (LintReport, Option<LintFacts>) {
     let mut report = LintReport::new(netlist.name());
     structural::check_nets(netlist, &mut report);
     structural::check_dangling_gates(netlist, &mut report);
@@ -70,7 +62,7 @@ pub fn lint_netlist_with_facts(netlist: &Netlist) -> (LintReport, Option<LintFac
     structural::check_duplicates(netlist, &mut report);
     if cyclic {
         // The topological evaluator cannot order a cyclic netlist.
-        return (report, None);
+        return report;
     }
     let facts = LintFacts::analyze(netlist);
     for net in netlist.net_ids() {
@@ -95,7 +87,7 @@ pub fn lint_netlist_with_facts(netlist: &Netlist) -> (LintReport, Option<LintFac
             ),
         ));
     }
-    (report, Some(facts))
+    report
 }
 
 #[cfg(test)]
@@ -106,9 +98,8 @@ mod tests {
     #[test]
     fn s27_is_lint_clean() {
         let netlist = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let (report, facts) = lint_netlist_with_facts(&netlist);
+        let report = lint_netlist(&netlist);
         assert!(report.is_clean(), "{}", report.to_text());
-        assert!(facts.is_some());
     }
 
     #[test]
@@ -147,8 +138,11 @@ mod tests {
         n.try_add_gate_driving(GateKind::Nand, &[a, y], x).unwrap();
         n.try_add_gate_driving(GateKind::Not, &[x], y).unwrap();
         n.mark_output(y);
-        let (report, facts) = lint_netlist_with_facts(&n);
-        assert!(facts.is_none());
+        // A tie cell the skipped constant propagation would have noted.
+        let tie = n.add_gate(GateKind::Const1, &[], "tie").output;
+        n.mark_output(tie);
+        let report = lint_netlist(&n);
+        assert!(!report.has_code(LintCode::ConstantNet));
         let loops: Vec<_> = report.with_code(LintCode::CombinationalLoop).collect();
         assert_eq!(loops.len(), 1);
         assert_eq!(loops[0].gates.len(), 2, "full cycle path is attached");

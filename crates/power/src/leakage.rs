@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use scanpower_lint::LintFacts;
+use scanpower_lint::LEAKAGE_PIN_LIMIT;
 use scanpower_netlist::{GateId, GateKind, NetId, Netlist};
 use scanpower_sim::failpoint;
 use scanpower_sim::kernel;
@@ -57,12 +57,11 @@ impl LeakageLibrary {
     ///
     /// # Panics
     ///
-    /// Panics if `fanin >= 32` — leakage tables support at most 31 input
-    /// pins (the `2^fanin` state count would silently wrap in release
-    /// builds); table lookups enforce the same cap.
+    /// Panics if `fanin` exceeds [`LEAKAGE_PIN_LIMIT`], the pin cap lint's
+    /// preflight enforces; table lookups enforce the same cap.
     #[must_use]
     pub fn gate_table(&self, kind: GateKind, fanin: usize) -> Vec<f64> {
-        assert!(fanin < 32, "leakage tables support at most 31 input pins");
+        assert_pin_limit(fanin);
         (0..(1u32 << fanin))
             .map(|state| self.gate_leakage(kind, fanin, state))
             .collect()
@@ -72,12 +71,11 @@ impl LeakageLibrary {
     ///
     /// # Panics
     ///
-    /// Panics if `fanin >= 32` — leakage tables support at most 31 input
-    /// pins (the `2^fanin` state count would silently wrap in release
-    /// builds); table lookups enforce the same cap.
+    /// Panics if `fanin` exceeds [`LEAKAGE_PIN_LIMIT`], the pin cap lint's
+    /// preflight enforces; table lookups enforce the same cap.
     #[must_use]
     pub fn best_state(&self, kind: GateKind, fanin: usize) -> u32 {
-        assert!(fanin < 32, "leakage tables support at most 31 input pins");
+        assert_pin_limit(fanin);
         (0..(1u32 << fanin))
             .min_by(|&a, &b| {
                 self.gate_leakage(kind, fanin, a)
@@ -278,10 +276,10 @@ impl LeakageEstimator {
     ) {
         assert!(lanes <= 64, "a packed word holds at most 64 lanes");
         // The gate, its table and its input words are loop-invariant over
-        // the lanes: resolve them once per gate, not once per lane. 31 pins
-        // is the workspace-wide table cap, so the gather buffer lives on
-        // the stack.
-        let mut pin_words = [PackedWord::splat(Logic::X); 31];
+        // the lanes: resolve them once per gate, not once per lane. The
+        // table cap bounds the pins, so the gather buffer lives on the
+        // stack.
+        let mut pin_words = [PackedWord::splat(Logic::X); LEAKAGE_PIN_LIMIT];
         let gate = netlist.gate(gate_id);
         let fanin = gate.inputs.len();
         for (word, &input) in pin_words.iter_mut().zip(&gate.inputs) {
@@ -368,17 +366,15 @@ fn build_ternary_table(table: &[f64], fanin: usize) -> Vec<f64> {
 ///
 /// # Panics
 ///
-/// Panics if more than 31 pins are passed — the same cap
-/// [`LeakageLibrary::gate_table`] and [`LeakageLibrary::best_state`]
-/// enforce (`fanin < 32`), because a 32nd pin's `1 << pin` state mask (and
-/// the `2^unknowns` completion count) would silently wrap in release
-/// builds, and no 32-pin table can be built to index anyway. Real tables
-/// stop far earlier: a 31-pin gate would need a 2-billion-entry table.
+/// Panics if more than [`LEAKAGE_PIN_LIMIT`] pins are passed — the same
+/// cap [`LeakageLibrary::gate_table`] and [`LeakageLibrary::best_state`]
+/// enforce: no wider table exists to index, and the `u32` state masks
+/// cannot wrap.
 fn averaged_table_lookup(table: &[f64], pins: impl Iterator<Item = Logic>) -> f64 {
     let mut base_state = 0u32;
     let mut unknown_mask = 0u32;
     for (pin, value) in pins.enumerate() {
-        assert!(pin < 31, "leakage tables support at most 31 input pins");
+        assert_pin_limit(pin + 1);
         match value {
             Logic::One => base_state |= 1 << pin,
             Logic::Zero => {}
@@ -398,6 +394,16 @@ fn averaged_table_lookup(table: &[f64], pins: impl Iterator<Item = Logic>) -> f6
         }
     }
     total / (1u64 << unknown_mask.count_ones()) as f64
+}
+
+/// Panics unless a gate of `fanin` pins is within the leakage model's cap:
+/// a `2^fanin` table past [`LEAKAGE_PIN_LIMIT`] pins would grow to GiBs.
+fn assert_pin_limit(fanin: usize) {
+    assert!(
+        fanin <= LEAKAGE_PIN_LIMIT,
+        "leakage tables support at most LEAKAGE_PIN_LIMIT = {LEAKAGE_PIN_LIMIT} input pins, \
+         got {fanin}"
+    );
 }
 
 /// Running average of leakage over a sequence of observed circuit states
@@ -472,7 +478,7 @@ impl LeakageAverage {
 ///
 /// When the replay supplies a changed-net delta ([`ShiftCycle::changed`])
 /// only the gates that read a changed net re-derive their codes; a cycle
-/// without one re-derives every non-static gate. The row is then re-summed from
+/// without one re-derives every gate. The row is then re-summed from
 /// `table[code]` **gate by gate, in netlist order**, 8 lanes at a time in
 /// register accumulators. Those are the very floats the full gather of
 /// [`LeakageEstimator::circuit_leakage_lanes_into`] adds, in the same
@@ -480,16 +486,6 @@ impl LeakageAverage {
 /// accumulation* (`row − old + new`) would re-associate the sum and break
 /// that. A cycle whose delta touches no gate reuses the previous row
 /// outright.
-///
-/// # Skipping provably-static gates
-///
-/// [`PackedShiftLeakage::with_facts`] accepts the [`LintFacts`] of the
-/// replay's shift configuration. Every gate whose inputs the ternary
-/// analysis settled to constants gets its codes once, from the analysis
-/// values, and is never re-derived; the row sum still reads it at its
-/// usual netlist position, so the average stays bit-identical while the
-/// per-cycle derivation shrinks to the genuinely toggling part of the
-/// circuit.
 ///
 /// # Examples
 ///
@@ -549,15 +545,13 @@ pub struct PackedShiftLeakage<'a> {
     /// Chunk-major state codes: `codes[chunk * gate_count + gate]` holds
     /// the one-byte codes of lanes `8 * chunk..8 * chunk + 8` of `gate`.
     codes: Vec<u64>,
-    /// `Some(lanes)` when the non-static codes and lane tables describe
-    /// the previous shift event (which had `lanes` active lanes); `None`
-    /// before the first derivation.
+    /// `Some(lanes)` when the codes and lane tables describe the previous
+    /// shift event (which had `lanes` active lanes); `None` before the
+    /// first derivation.
     derived_lanes: Option<usize>,
     /// Scratch bit set (bit `g % 64` of word `g / 64`) of the gates to
     /// re-derive this cycle; all clear between cycles.
     dirty: Vec<u64>,
-    /// Number of [`CodeSource::Static`] gates.
-    static_count: usize,
     /// Shift events seen so far — the `power::observer::cycle` failpoint
     /// key.
     observed: u64,
@@ -579,9 +573,6 @@ enum CodeSource {
     /// [`LeakageEstimator::gate_leakage_lanes_into`], read through the
     /// fixed codes `0..64`.
     Lanes,
-    /// Provably constant under the [`LintFacts`]: derived once at
-    /// construction, never re-derived.
-    Static,
 }
 
 impl<'a> PackedShiftLeakage<'a> {
@@ -643,68 +634,9 @@ impl<'a> PackedShiftLeakage<'a> {
             codes,
             derived_lanes: None,
             dirty: vec![0; gate_count.div_ceil(64)],
-            static_count: 0,
             observed: 0,
             flushes: 0,
         }
-    }
-
-    /// Creates an accumulator that skips provably-static gates.
-    ///
-    /// `facts` must come from [`LintFacts::analyze_shift`] over this
-    /// `netlist` with the same [`ShiftConfig`](scanpower_sim::scan::ShiftConfig)
-    /// the replay will run — then every input of a static gate holds its
-    /// analysis constant in **every lane of every shift cycle** (ternary
-    /// monotonicity: the replay's concrete lane values only refine the
-    /// analysis' `X` assumptions). Each static gate's codes are therefore
-    /// derived once here, from the analysis values splatted over all lanes,
-    /// and the row sum reads them at the gate's usual position in netlist
-    /// order, so the accumulated average stays bit-identical to the
-    /// unskipped observer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `facts` was computed for a different netlist (mismatched
-    /// net or gate counts).
-    #[must_use]
-    pub fn with_facts(
-        netlist: &'a Netlist,
-        estimator: &'a LeakageEstimator,
-        facts: &LintFacts,
-    ) -> PackedShiftLeakage<'a> {
-        assert_eq!(
-            facts.net_count(),
-            netlist.net_count(),
-            "facts were computed for a different netlist (net count mismatch)"
-        );
-        assert_eq!(
-            facts.gate_count(),
-            netlist.gate_count(),
-            "facts were computed for a different netlist (gate count mismatch)"
-        );
-        let mut observer = PackedShiftLeakage::new(netlist, estimator);
-        let splat: Vec<PackedWord> = facts
-            .values()
-            .iter()
-            .map(|&value| PackedWord::splat(value))
-            .collect();
-        for gate_id in netlist.gate_ids() {
-            if facts.is_static_gate(gate_id) {
-                // Every net splatted to its analysis value gives every lane
-                // the pin codes any lane of any shift cycle will carry.
-                observer.derive(gate_id.index(), &splat, PackedWord::LANES);
-                observer.source[gate_id.index()] = CodeSource::Static;
-                observer.static_count += 1;
-            }
-        }
-        observer
-    }
-
-    /// How many gates this observer skips per gather (0 when built without
-    /// [`LintFacts`]).
-    #[must_use]
-    pub fn static_gates_skipped(&self) -> usize {
-        self.static_count
     }
 
     /// Feeds one packed replay event with its changed-net delta (see
@@ -782,8 +714,7 @@ impl<'a> PackedShiftLeakage<'a> {
     }
 
     /// Re-derives `gate`'s codes (or its private lane table) from `values`
-    /// over the first `lanes` lanes. Static gates are left as they are:
-    /// their inputs never change, so a real shift delta never marks them.
+    /// over the first `lanes` lanes.
     fn derive(&mut self, gate: usize, values: &[PackedWord], lanes: usize) {
         match self.source[gate] {
             CodeSource::Bytes => {
@@ -810,7 +741,6 @@ impl<'a> PackedShiftLeakage<'a> {
                     &mut self.tables[start..start + PackedWord::LANES],
                 );
             }
-            CodeSource::Static => {}
         }
     }
 
@@ -1098,31 +1028,47 @@ mod tests {
         }
     }
 
-    /// Lint's pin limit must stay within the leakage model's actual pin
-    /// cap (the 31-slot pin buffer of `gate_leakage_lanes_into` and the
-    /// `gate_table` fanin assert), so every gate the preflight admits can
-    /// be estimated: a gate at the limit builds its table and has a
-    /// leakage in an all-X state.
+    /// The leakage model's pin cap is lint's [`LEAKAGE_PIN_LIMIT`], so every
+    /// gate the preflight admits can be estimated (a gate at the limit
+    /// builds its table and has a leakage in an all-X state), and a caller
+    /// that skips the preflight is refused before the `2^fanin` table is
+    /// allocated.
     #[test]
     fn lint_pin_limit_matches_the_leakage_model() {
-        const { assert!(scanpower_lint::LEAKAGE_PIN_LIMIT <= 31) };
-        let mut n = Netlist::new("widest");
-        let inputs: Vec<_> = (0..scanpower_lint::LEAKAGE_PIN_LIMIT)
-            .map(|pin| n.add_input(&format!("i{pin}")))
-            .collect();
-        let gate = n.add_gate(GateKind::Nand, &inputs, "widest");
-        n.mark_output(gate.output);
+        let wide = |pins: usize| {
+            let mut n = Netlist::new("widest");
+            let inputs: Vec<_> = (0..pins)
+                .map(|pin| n.add_input(&format!("i{pin}")))
+                .collect();
+            let gate = n.add_gate(GateKind::Nand, &inputs, "widest");
+            n.mark_output(gate.output);
+            n
+        };
+        let n = wide(LEAKAGE_PIN_LIMIT);
         let estimator = LeakageEstimator::new(&n, &LeakageLibrary::cmos45());
         let all_x = vec![Logic::X; n.net_count()];
         assert!(estimator.circuit_leakage(&n, &all_x) > 0.0);
+
+        let over = wide(LEAKAGE_PIN_LIMIT + 1);
+        let refused =
+            std::panic::catch_unwind(|| LeakageEstimator::new(&over, &LeakageLibrary::cmos45()))
+                .expect_err("a gate over the pin limit must be refused");
+        let message = refused
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| refused.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            message.contains("LEAKAGE_PIN_LIMIT"),
+            "the refusal names the bound: {message}"
+        );
     }
 
-    /// A facts-carrying observer must reproduce the plain observer (and the
-    /// scalar replay) **bit for bit** while actually skipping gates — on a
-    /// low-activity configuration, across full and partial blocks.
+    /// The observer reproduces the scalar replay **bit for bit** on a
+    /// low-activity configuration (held PIs, two forced scan cells), where
+    /// few nets change per cycle, across four full blocks and a partial one.
     #[test]
-    fn facts_skipping_observer_matches_scalar_observer_bitwise() {
-        use scanpower_lint::LintFacts;
+    fn low_activity_observer_matches_scalar_observer_bitwise() {
         use scanpower_sim::patterns::random_bool_patterns;
         use scanpower_sim::scan::ScanShiftSim;
 
@@ -1136,17 +1082,9 @@ mod tests {
             .into_iter()
             .map(|bits| ScanPattern::from_bools(&bits[..pi], &bits[pi..]))
             .collect();
-
-        // Held PIs plus two forced scan cells: a realistic low-activity
-        // shift where the analysis settles part of the circuit.
         let mut config = ShiftConfig::with_pi_control(ff, vec![Logic::Zero; pi]);
         config.forced_pseudo[0] = Some(Logic::One);
         config.forced_pseudo[1] = Some(Logic::Zero);
-        let facts = LintFacts::analyze_shift(&n, &config);
-        assert!(
-            facts.static_gate_count() > 0,
-            "the low-activity config must settle at least one gate"
-        );
 
         let mut scalar_average = LeakageAverage::new();
         ScanShiftSim::new(&n).run_with_observer(&n, &patterns, &config, |phase, values| {
@@ -1155,8 +1093,7 @@ mod tests {
             }
         });
 
-        let mut packed = PackedShiftLeakage::with_facts(&n, &estimator, &facts);
-        assert_eq!(packed.static_gates_skipped(), facts.static_gate_count());
+        let mut packed = PackedShiftLeakage::new(&n, &estimator);
         packed_replay(&n, &patterns, &config, |cycle| {
             packed.observe_cycle(cycle);
         });
@@ -1165,20 +1102,19 @@ mod tests {
         assert_eq!(
             packed.average_na().to_bits(),
             scalar_average.average_na().to_bits(),
-            "facts-skipping 64-lane average"
+            "low-activity 64-lane average"
         );
     }
 
     /// Gates wider than the byte codes hold (5 and 10 pins, with ternary
     /// tables) and wider than the ternary precompute (11 pins) take the
-    /// observer's private lane tables: the plain and the facts-skipping
-    /// observer must still reproduce the scalar replay's average **bit for
-    /// bit**, with X-carrying patterns and a partial final block.
+    /// observer's private lane tables: the observer must still reproduce
+    /// the scalar replay's average **bit for bit**, with X-carrying
+    /// patterns and a partial final block, with free and with held PIs.
     #[test]
     fn wide_gate_leakage_observer_matches_scalar_observer_bitwise() {
         use rand::{Rng, SeedableRng};
         use rand_chacha::ChaCha8Rng;
-        use scanpower_lint::LintFacts;
         use scanpower_sim::scan::ScanShiftSim;
 
         let n = bench::parse(
@@ -1223,7 +1159,7 @@ mod tests {
                 scan: (0..ff).map(|_| value()).collect(),
             })
             .collect();
-        // Held PIs settle the PI-only 5-pin `ws` (and its inverter).
+        // Held PIs keep the PI-only 5-pin `ws` (and its inverter) constant.
         let held = ShiftConfig::with_pi_control(
             ff,
             vec![
@@ -1235,78 +1171,26 @@ mod tests {
                 Logic::Zero,
             ],
         );
-        let held_facts = LintFacts::analyze_shift(&n, &held);
-        assert!(held_facts.is_static_gate(gate("ws")));
-        assert!(!held_facts.is_static_gate(gate("w11")));
 
-        for (config, facts) in [
-            (ShiftConfig::traditional(ff), None),
-            (held, Some(&held_facts)),
-        ] {
+        for config in [ShiftConfig::traditional(ff), held] {
             let mut scalar_average = LeakageAverage::new();
             ScanShiftSim::new(&n).run_with_observer(&n, &patterns, &config, |phase, values| {
                 if phase == ShiftPhase::Shift {
                     scalar_average.add(estimator.circuit_leakage(&n, values));
                 }
             });
-            let mut observers = vec![PackedShiftLeakage::new(&n, &estimator)];
-            if let Some(facts) = facts {
-                observers.push(PackedShiftLeakage::with_facts(&n, &estimator, facts));
-                assert_eq!(
-                    observers[1].static_gates_skipped(),
-                    facts.static_gate_count()
-                );
-            }
-            for mut observer in observers {
-                let skipped = observer.static_gates_skipped();
-                packed_replay(&n, &patterns, &config, |cycle| {
-                    observer.observe_cycle(cycle);
-                });
-                let average = observer.into_average();
-                assert_eq!(average.samples(), scalar_average.samples());
-                assert_eq!(
-                    average.average_na().to_bits(),
-                    scalar_average.average_na().to_bits(),
-                    "{skipped} static gates"
-                );
-            }
+            let mut observer = PackedShiftLeakage::new(&n, &estimator);
+            packed_replay(&n, &patterns, &config, |cycle| {
+                observer.observe_cycle(cycle);
+            });
+            let average = observer.into_average();
+            assert_eq!(average.samples(), scalar_average.samples());
+            assert_eq!(
+                average.average_na().to_bits(),
+                scalar_average.average_na().to_bits(),
+                "{config:?}"
+            );
         }
-    }
-
-    /// Skipping with an *unconstrained* analysis (no held PIs, nothing
-    /// forced) must be a clean no-op: zero static gates, plain-observer
-    /// behaviour, bit-identical average.
-    #[test]
-    fn facts_without_static_gates_are_a_noop() {
-        use scanpower_lint::LintFacts;
-        use scanpower_sim::patterns::random_bool_patterns;
-
-        let n = bench::parse(bench::S27_BENCH, "s27").unwrap();
-        let library = LeakageLibrary::cmos45();
-        let estimator = LeakageEstimator::new(&n, &library);
-        let pi = n.primary_inputs().len();
-        let ff = n.dff_count();
-        let patterns: Vec<ScanPattern> = random_bool_patterns(pi + ff, 70, 43)
-            .into_iter()
-            .map(|bits| ScanPattern::from_bools(&bits[..pi], &bits[pi..]))
-            .collect();
-        let config = ShiftConfig::traditional(ff);
-        let facts = LintFacts::analyze_shift(&n, &config);
-        assert_eq!(facts.static_gate_count(), 0);
-
-        let mut plain = PackedShiftLeakage::new(&n, &estimator);
-        packed_replay(&n, &patterns, &config, |cycle| {
-            plain.observe_cycle(cycle);
-        });
-        let mut with_facts = PackedShiftLeakage::with_facts(&n, &estimator, &facts);
-        assert_eq!(with_facts.static_gates_skipped(), 0);
-        packed_replay(&n, &patterns, &config, |cycle| {
-            with_facts.observe_cycle(cycle);
-        });
-        assert_eq!(
-            plain.into_average().average_na().to_bits(),
-            with_facts.into_average().average_na().to_bits()
-        );
     }
 
     /// Randomized agreement sweep for the lane-parallel lookup: every

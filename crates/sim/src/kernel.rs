@@ -145,21 +145,6 @@ impl PackedWord {
         !(self.can0 & self.can1)
     }
 
-    /// Builds a word from up to 64 lane values; missing lanes are unknown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than 64 lanes are passed.
-    #[must_use]
-    pub fn from_lanes(lanes: &[Logic]) -> PackedWord {
-        assert!(lanes.len() <= 64, "a packed word holds at most 64 lanes");
-        let mut word = PackedWord::splat(Logic::X);
-        for (lane, &value) in lanes.iter().enumerate() {
-            word.set_lane(lane, value);
-        }
-        word
-    }
-
     /// Value of one lane.
     ///
     /// # Panics

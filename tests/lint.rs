@@ -1,6 +1,5 @@
 //! Suite-level lint tests: adversarial circuits hit their stable `SPL0xx`
-//! codes, the Table I circuit family is lint-clean, and the lint preflight
-//! and LintFacts gate-skipping compose with the experiment flow.
+//! codes, and the Table I circuit family is lint-clean.
 
 use scanpower_suite::lint::{lint_bench, lint_netlist, LintCode, Severity, LEAKAGE_PIN_LIMIT};
 use scanpower_suite::netlist::bench;

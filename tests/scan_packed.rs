@@ -3,11 +3,10 @@
 //! counts.
 //!
 //! The production replay is one engine: the packed 64-pattern kernel,
-//! event-driven propagation, the lane-parallel leakage lookup and the
-//! `LintFacts` static-gate skip. Its reference is the scalar
-//! pattern-at-a-time replay with the scalar leakage observer; the packed
-//! replay with and without the facts skip is composed here directly from
-//! the sim and power crates. The acceptance bar is **bit-identity**:
+//! event-driven propagation and the lane-parallel leakage lookup. Its
+//! reference is the scalar pattern-at-a-time replay with the scalar leakage
+//! observer; the packed replay is also composed here directly from the sim
+//! and power crates. The acceptance bar is **bit-identity**:
 //! every `ShiftStats` counter is an integer and the static-power average is
 //! accumulated in the exact scalar order, so the tests assert plain
 //! equality (and `f64::to_bits` equality of the power numbers) — on real
@@ -25,7 +24,6 @@ use scanpower_suite::core::experiment::{
     run_table1_partial, CircuitExperiment, ExperimentOptions, SchemePower,
 };
 use scanpower_suite::core::ProposedMethod;
-use scanpower_suite::lint::LintFacts;
 use scanpower_suite::netlist::generator::CircuitFamily;
 use scanpower_suite::netlist::Netlist;
 use scanpower_suite::power::{
@@ -178,8 +176,7 @@ fn scalar_replay(netlist: &Netlist, patterns: &[ScanPattern], config: &ShiftConf
 }
 
 /// The reference replays, composed directly from the sim and power layers:
-/// the scalar replay, then the packed replay with and without the facts
-/// skip.
+/// the scalar replay, then the packed replay with the packed observer.
 fn reference_replays(
     netlist: &Netlist,
     patterns: &[ScanPattern],
@@ -187,30 +184,22 @@ fn reference_replays(
 ) -> Vec<Replayed> {
     let library = LeakageLibrary::cmos45();
     let estimator = LeakageEstimator::new(netlist, &library);
-    let facts = LintFacts::analyze_shift(netlist, config);
-    let mut references = vec![scalar_replay(netlist, patterns, config)];
-
-    let sim = PackedScanShiftSim::new(netlist);
-    for skip in [true, false] {
-        let mut observer = if skip {
-            PackedShiftLeakage::with_facts(netlist, &estimator, &facts)
-        } else {
-            PackedShiftLeakage::new(netlist, &estimator)
-        };
-        let stats = sim
-            .run(netlist, patterns, config, None, |cycle| {
-                observer.observe_cycle(cycle);
-            })
-            .expect("no cancel flag");
-        references.push(replayed(
-            format!("packed / facts skip {skip}"),
+    let mut observer = PackedShiftLeakage::new(netlist, &estimator);
+    let stats = PackedScanShiftSim::new(netlist)
+        .run(netlist, patterns, config, None, |cycle| {
+            observer.observe_cycle(cycle);
+        })
+        .expect("no cancel flag");
+    vec![
+        scalar_replay(netlist, patterns, config),
+        replayed(
+            "packed replay".into(),
             netlist,
             &library,
             stats,
             &observer.into_average(),
-        ));
-    }
-    references
+        ),
+    ]
 }
 
 /// The replay identity differential test: on every reduced-scale Table I
@@ -223,9 +212,6 @@ fn reference_replays(
 #[test]
 fn experiment_scheme_evaluation_is_bit_identical_between_replays() {
     let experiment = CircuitExperiment::new(ExperimentOptions::fast());
-    // The facts skip must actually act somewhere, or the facts/no-facts
-    // references would agree vacuously.
-    let mut frozen_gates = 0;
     for spec in CircuitFamily::table1() {
         let circuit = spec.scaled(0.1).generate(3);
         let name = circuit.name().to_owned();
@@ -268,7 +254,6 @@ fn experiment_scheme_evaluation_is_bit_identical_between_replays() {
                     .try_evaluate_scheme_stats(netlist, patterns, config)
                     .unwrap();
                 assert!(stats.shift_cycles > 0, "{name} / {scheme} / {set}: empty");
-                frozen_gates += LintFacts::analyze_shift(netlist, config).static_gate_count();
                 for reference in reference_replays(netlist, patterns, config) {
                     let at = format!("{name} / {scheme} / {set} / {}", reference.label);
                     assert_eq!(stats, reference.stats, "{at}: stats");
@@ -287,7 +272,6 @@ fn experiment_scheme_evaluation_is_bit_identical_between_replays() {
             }
         }
     }
-    assert!(frozen_gates > 0, "no scheme froze a gate");
 }
 
 /// The full multi-circuit harness: one circuit per driver job, merged in

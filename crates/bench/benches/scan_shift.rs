@@ -2,16 +2,19 @@
 //! packed 64-pattern `PackedScanShiftSim` on the raw replay (transition
 //! counting only) and with the static-power observer attached, the packed
 //! event-driven replay ± observer on a high-activity traditional config and
-//! a low-activity held-PI/forced-chain config (`event_driven` group), plus
-//! the multi-circuit Table I harness at 1 worker thread vs the automatic
-//! count. Every packed replay is bit-identical to the scalar one —
-//! asserted once before timing — so the bench measures speed only. A
+//! a low-activity held-PI/forced-chain config (`event_driven` group), the
+//! multi-circuit Table I harness at 1 worker thread vs the automatic count,
+//! and the input-control plan (`InputControlBaseline::plan`: the paper's
+//! `FindControlledInputPattern()` with its `Update TNS, TGS` worklist) on
+//! full-size s5378. Every packed replay is bit-identical to the scalar one
+//! — asserted once before timing — so the bench measures speed only. A
 //! snapshot of the measured means lives in `BENCH_scan_shift.json` at the
 //! repository root.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use scanpower_bench::{bench_circuit, bench_options};
+use scanpower_core::baseline::InputControlBaseline;
 use scanpower_core::experiment::{run_table1_partial, ExperimentOptions};
 use scanpower_netlist::generator::CircuitFamily;
 use scanpower_power::{LeakageAverage, LeakageEstimator, LeakageLibrary, PackedShiftLeakage};
@@ -170,6 +173,19 @@ fn scan_shift(c: &mut Criterion) {
     });
     group.bench_function("table1_4_circuits_auto_threads", |b| {
         b.iter(|| run_table1_partial(black_box(&specs), &automatic, Some(0.3), 1));
+    });
+    group.finish();
+
+    // The input-control plan on the full-size circuit of the given-test-set
+    // workload: 849 worklist iterations at netlist seed 1.
+    let s5378 = CircuitFamily::iscas89_like("s5378")
+        .expect("known circuit")
+        .generate(1);
+    let baseline = InputControlBaseline::new();
+    let mut group = c.benchmark_group("plan");
+    group.sample_size(10);
+    group.bench_function("input_control_s5378", |b| {
+        b.iter(|| baseline.plan(black_box(&s5378)));
     });
     group.finish();
 }

@@ -59,12 +59,16 @@ impl ControlPatternFinder {
     ) -> ControlPattern {
         let mut justifier = Justifier::new(netlist, controlled, self.directive);
         let capacitance = CapacitanceModel::default();
+        let output_load: Vec<f64> = netlist
+            .gate_ids()
+            .map(|gate| capacitance.gate_output_load(netlist, gate))
+            .collect();
         let mut worklist = TransitionWorklist::new(netlist, transition_sources, justifier.values());
 
         let mut stats = PatternStats::default();
         let max_iterations = netlist.gate_count() * 2 + 16;
 
-        while let Some((mc_tg, mc_tn)) = worklist.most_capacitive_gate(netlist, &capacitance) {
+        while let Some((mc_tg, mc_tn)) = worklist.most_capacitive_gate(netlist, &output_load) {
             stats.iterations += 1;
             if stats.iterations > max_iterations {
                 break;

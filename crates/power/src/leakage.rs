@@ -464,7 +464,7 @@ impl LeakageAverage {
 /// its states in, so the floating-point accumulation — and therefore the
 /// reported average static power — is bit-identical to the scalar path.
 ///
-/// # Lane state codes and the delta gather
+/// # Lane state codes and the pin patch
 ///
 /// The observer caches, per gate, one **state code byte per lane** rather
 /// than the lane's leakage float: the 2-bit-per-pin ternary code of
@@ -473,14 +473,18 @@ impl LeakageAverage {
 /// Wider gates get a private 64-entry lane table refilled by
 /// [`LeakageEstimator::gate_leakage_lanes_into`] and the fixed codes
 /// `0..64`, so every gate is read through the same table indirection. The
-/// codes are stored chunk-major, 8 lanes per `u64`: 64 bytes per gate
-/// instead of 512 bytes of floats.
+/// codes are stored gate-major, 8 lanes per `u64`: a gate's 64 codes are
+/// one 64-byte line instead of 512 bytes of floats.
 ///
 /// When the replay supplies a changed-net delta ([`ShiftCycle::changed`])
-/// only the gates that read a changed net re-derive their codes; a cycle
-/// without one re-derives every gate. The row is then re-summed from
-/// `table[code]` **gate by gate, in netlist order**, 8 lanes at a time in
-/// register accumulators. Those are the very floats the full gather of
+/// the codes are patched rather than re-derived: each changed net's
+/// one-pin code is spread once, and each `(gate, pin)` reading the net
+/// rewrites only that pin's 2-bit field of the gate's 8 code words. A
+/// gate with a private lane table that reads a changed net refills its
+/// table instead. A cycle without a delta, or with a different lane count
+/// than the previous one, re-derives every gate. The row is then re-summed
+/// from `table[code]` **gate by gate, in netlist order**, 8 lanes at a time
+/// in register accumulators. Those are the very floats the full gather of
 /// [`LeakageEstimator::circuit_leakage_lanes_into`] adds, in the same
 /// order, so the row is bit-identical to it — naïve floating-point *delta
 /// accumulation* (`row − old + new`) would re-associate the sum and break
@@ -542,15 +546,15 @@ pub struct PackedShiftLeakage<'a> {
     /// one private 64-entry lane table per [`CodeSource::Lanes`] gate, then
     /// 256 padding entries.
     tables: Vec<f64>,
-    /// Chunk-major state codes: `codes[chunk * gate_count + gate]` holds
-    /// the one-byte codes of lanes `8 * chunk..8 * chunk + 8` of `gate`.
-    codes: Vec<u64>,
+    /// Per gate: its lane state codes.
+    codes: Vec<GateCodes>,
     /// `Some(lanes)` when the codes and lane tables describe the previous
     /// shift event (which had `lanes` active lanes); `None` before the
     /// first derivation.
     derived_lanes: Option<usize>,
-    /// Scratch bit set (bit `g % 64` of word `g / 64`) of the gates to
-    /// re-derive this cycle; all clear between cycles.
+    /// Scratch bit set (bit `g % 64` of word `g / 64`) of the
+    /// [`CodeSource::Lanes`] gates to refill this cycle; all clear between
+    /// cycles.
     dirty: Vec<u64>,
     /// Shift events seen so far — the `power::observer::cycle` failpoint
     /// key.
@@ -562,6 +566,16 @@ pub struct PackedShiftLeakage<'a> {
 
 /// 8-lane code chunks per gate (one `u64` of one-byte codes each).
 const CHUNKS: usize = PackedWord::LANES / 8;
+
+/// The 2-bit field of pin 0 in each of a code word's 8 one-byte codes.
+const PIN_FIELDS: u64 = 0x0303_0303_0303_0303;
+
+/// One gate's one-byte lane state codes: word `chunk` holds lanes
+/// `8 * chunk..8 * chunk + 8`. Aligned so that a gate's codes are one cache
+/// line, which a pin patch rewrites.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(64))]
+struct GateCodes([u64; CHUNKS]);
 
 /// How [`PackedShiftLeakage`] derives one gate's lane codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -585,7 +599,7 @@ impl<'a> PackedShiftLeakage<'a> {
         let mut pin_start = Vec::with_capacity(gate_count + 1);
         let mut table_start = Vec::with_capacity(gate_count);
         let mut tables = Vec::new();
-        let mut codes = vec![0u64; gate_count * CHUNKS];
+        let mut codes = vec![GateCodes::default(); gate_count];
         // Estimator table slot -> the start of its ternary table in `tables`.
         let mut shared_start = vec![None; estimator.slots.len()];
         for gate_id in netlist.gate_ids() {
@@ -607,11 +621,10 @@ impl<'a> PackedShiftLeakage<'a> {
                     source.push(CodeSource::Lanes);
                     table_start.push(tables.len() as u32);
                     tables.resize(tables.len() + PackedWord::LANES, 0.0);
-                    for chunk in 0..CHUNKS {
-                        codes[chunk * gate_count + index] =
-                            u64::from_le_bytes(std::array::from_fn(|byte| {
-                                (8 * chunk + byte) as u8
-                            }));
+                    for (chunk, code) in codes[index].0.iter_mut().enumerate() {
+                        *code = u64::from_le_bytes(std::array::from_fn(|byte| {
+                            (8 * chunk + byte) as u8
+                        }));
                     }
                 }
             }
@@ -640,12 +653,12 @@ impl<'a> PackedShiftLeakage<'a> {
     }
 
     /// Feeds one packed replay event with its changed-net delta (see
-    /// [`ShiftCycle`]): shift states accumulate — re-deriving only the
+    /// [`ShiftCycle`]): shift states accumulate — patching the codes of the
     /// gates that read a changed net when [`ShiftCycle::changed`] is
-    /// present, every gate otherwise — and the capture event flushes the
-    /// block in the scalar pattern-major order. Capture states themselves
-    /// are not counted, matching the paper's shift-only static power. The
-    /// resulting average is bit-identical either way.
+    /// present, re-deriving every gate otherwise — and the capture event
+    /// flushes the block in the scalar pattern-major order. Capture states
+    /// themselves are not counted, matching the paper's shift-only static
+    /// power. The resulting average is bit-identical either way.
     pub fn observe_cycle(&mut self, cycle: &ShiftCycle<'_>) {
         match cycle.phase {
             ShiftPhase::Shift => {
@@ -654,7 +667,7 @@ impl<'a> PackedShiftLeakage<'a> {
                 let mut row = self.pool.pop().unwrap_or_default();
                 match cycle.changed {
                     Some(changed) if self.derived_lanes == Some(cycle.lanes) => {
-                        if !self.mark_dirty(changed) {
+                        if !self.patch(changed, cycle.values, cycle.lanes) {
                             if let Some(previous) = self.rows.last() {
                                 // Nothing a gate reads moved: the previous
                                 // row's floats are the sum this cycle would
@@ -664,7 +677,6 @@ impl<'a> PackedShiftLeakage<'a> {
                                 return;
                             }
                         }
-                        self.derive_dirty(cycle.values, cycle.lanes);
                     }
                     _ => {
                         for gate in 0..self.source.len() {
@@ -689,21 +701,35 @@ impl<'a> PackedShiftLeakage<'a> {
         }
     }
 
-    /// Sets the `dirty` bit of every gate reading a changed net; `false`
-    /// when no gate reads one.
-    fn mark_dirty(&mut self, changed: &[NetId]) -> bool {
-        let mut marked = false;
+    /// Brings the codes up to date with the `changed` nets of `values`:
+    /// each changed net's one-pin code is spread once and written into the
+    /// pin's 2-bit field of every [`CodeSource::Bytes`] gate reading it,
+    /// and every [`CodeSource::Lanes`] gate reading one refills its table.
+    /// `false` when no gate reads a changed net.
+    fn patch(&mut self, changed: &[NetId], values: &[PackedWord], lanes: usize) -> bool {
+        let mut patched = false;
         for &net in changed {
-            for &(gate, _) in self.netlist.loads(net) {
-                self.dirty[gate.index() / 64] |= 1 << (gate.index() % 64);
-                marked = true;
+            let loads = self.netlist.loads(net);
+            if loads.is_empty() {
+                continue;
+            }
+            patched = true;
+            let mut spread = [0u64; CHUNKS];
+            kernel::lane_state_bytes(&[values[net.index()]], lanes, &mut spread);
+            for &(gate, pin) in loads {
+                let gate = gate.index();
+                match self.source[gate] {
+                    CodeSource::Bytes => {
+                        let shift = 2 * pin;
+                        let keep = !(PIN_FIELDS << shift);
+                        for (code, &pin_code) in self.codes[gate].0.iter_mut().zip(&spread) {
+                            *code = *code & keep | pin_code << shift;
+                        }
+                    }
+                    CodeSource::Lanes => self.dirty[gate / 64] |= 1 << (gate % 64),
+                }
             }
         }
-        marked
-    }
-
-    /// Re-derives every gate whose `dirty` bit is set, clearing the bits.
-    fn derive_dirty(&mut self, values: &[PackedWord], lanes: usize) {
         for word in 0..self.dirty.len() {
             let mut bits = std::mem::take(&mut self.dirty[word]);
             while bits != 0 {
@@ -711,6 +737,7 @@ impl<'a> PackedShiftLeakage<'a> {
                 bits &= bits - 1;
             }
         }
+        patched
     }
 
     /// Re-derives `gate`'s codes (or its private lane table) from `values`
@@ -724,12 +751,7 @@ impl<'a> PackedShiftLeakage<'a> {
                 for (word, &net) in pins.iter_mut().zip(nets) {
                     *word = values[net as usize];
                 }
-                let mut chunks = [0u64; CHUNKS];
-                kernel::lane_state_bytes(&pins[..nets.len()], lanes, &mut chunks);
-                let gate_count = self.source.len();
-                for (chunk, &code) in chunks.iter().enumerate() {
-                    self.codes[chunk * gate_count + gate] = code;
-                }
+                kernel::lane_state_bytes(&pins[..nets.len()], lanes, &mut self.codes[gate].0);
             }
             CodeSource::Lanes => {
                 let start = self.table_start[gate] as usize;
@@ -749,11 +771,10 @@ impl<'a> PackedShiftLeakage<'a> {
     /// workspace shares — with 8 lanes summed per pass over the gates.
     fn sum_row(&self, lanes: usize, row: &mut Vec<f64>) {
         row.clear();
-        let gate_count = self.source.len();
         for chunk in 0..lanes.div_ceil(8) {
-            let codes = &self.codes[chunk * gate_count..(chunk + 1) * gate_count];
+            let codes = self.codes.iter().map(|codes| codes.0[chunk]);
             let mut totals = [0.0f64; 8];
-            for (&code, &start) in codes.iter().zip(&self.table_start) {
+            for (code, &start) in codes.zip(&self.table_start) {
                 let table: &[f64; 256] = self.tables[start as usize..start as usize + 256]
                     .try_into()
                     .expect("every table start has 256 entries after it");
@@ -1190,6 +1211,86 @@ mod tests {
                 scalar_average.average_na().to_bits(),
                 "{config:?}"
             );
+        }
+    }
+
+    /// The pin patch against the scalar replay, **bit for bit**, on the
+    /// shapes it must get right: a gate reading one net on two pins
+    /// (`NAND(q0, q0)`, and pins 0 and 3 of a 4-pin gate), nets read by
+    /// both byte-coded (≤ 4 pins) and lane-table (> 4 pins) gates, and
+    /// X-carrying patterns whose blocks hold 64, 64 and then 7 lanes. The
+    /// replay is also fed with every net listed as changed on each
+    /// block's first shift cycle, so a delta meets a lane-count change.
+    #[test]
+    fn pin_patch_matches_scalar_observer_bitwise() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        use scanpower_sim::scan::ScanShiftSim;
+
+        let n = bench::parse(
+            "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(o)\n\
+             q0 = DFF(d0)\nq1 = DFF(d1)\nq2 = DFF(d2)\nq3 = DFF(d3)\nq4 = DFF(o)\n\
+             d0 = NAND(q0, q0)\n\
+             d1 = AND(q1, a, q2, q1)\n\
+             d2 = NOR(q3, b, q3, c, q0, q1)\n\
+             d3 = OR(d0, q2, d2)\n\
+             x = XOR(q2, q2)\n\
+             o = NAND(d1, d3, x, q4, a)\n",
+            "patch",
+        )
+        .unwrap();
+        let gate = |name: &str| n.gate(n.driver_gate(n.net_by_name(name).unwrap()).unwrap());
+        assert_eq!(gate("d0").inputs[0], gate("d0").inputs[1]);
+        assert_eq!(gate("d1").inputs[0], gate("d1").inputs[3]);
+        assert_eq!((gate("d2").fanin(), gate("o").fanin()), (6, 5));
+        let library = LeakageLibrary::cmos45();
+        let estimator = LeakageEstimator::new(&n, &library);
+        let pi = n.primary_inputs().len();
+        let ff = n.dff_count();
+        let mut rng = ChaCha8Rng::seed_from_u64(0x9a7c_4e11);
+        let mut value = || {
+            if rng.gen_bool(0.1) {
+                Logic::X
+            } else {
+                Logic::from_bool(rng.gen_bool(0.5))
+            }
+        };
+        let patterns: Vec<ScanPattern> = (0..135)
+            .map(|_| ScanPattern {
+                pi: (0..pi).map(|_| value()).collect(),
+                scan: (0..ff).map(|_| value()).collect(),
+            })
+            .collect();
+        let mut held = ShiftConfig::with_pi_control(ff, vec![Logic::One, Logic::Zero, Logic::X]);
+        held.forced_pseudo[2] = Some(Logic::One);
+        let every_net: Vec<NetId> = n.net_ids().collect();
+
+        for config in [ShiftConfig::traditional(ff), held] {
+            let mut scalar_average = LeakageAverage::new();
+            ScanShiftSim::new(&n).run_with_observer(&n, &patterns, &config, |phase, values| {
+                if phase == ShiftPhase::Shift {
+                    scalar_average.add(estimator.circuit_leakage(&n, values));
+                }
+            });
+            let mut replay_delta = PackedShiftLeakage::new(&n, &estimator);
+            let mut whole_delta = PackedShiftLeakage::new(&n, &estimator);
+            packed_replay(&n, &patterns, &config, |cycle| {
+                replay_delta.observe_cycle(cycle);
+                whole_delta.observe_cycle(&ShiftCycle {
+                    changed: Some(cycle.changed.unwrap_or(&every_net)),
+                    ..*cycle
+                });
+            });
+            for (label, observer) in [("replay delta", replay_delta), ("whole delta", whole_delta)]
+            {
+                let average = observer.into_average();
+                assert_eq!(average.samples(), scalar_average.samples());
+                assert_eq!(
+                    average.average_na().to_bits(),
+                    scalar_average.average_na().to_bits(),
+                    "{label}, {config:?}"
+                );
+            }
         }
     }
 

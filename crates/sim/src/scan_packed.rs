@@ -69,7 +69,7 @@ pub struct ShiftCycle<'a> {
     /// block, whose state is rebuilt from the block's capture pass rather
     /// than rippled from the previous block), in which case
     /// consumers must assume every net changed. Incremental observers (the
-    /// static-power delta gather) re-derive their per-gate work from this
+    /// static-power pin patch) update their per-gate state from this
     /// list.
     pub changed: Option<&'a [NetId]>,
 }
